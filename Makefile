@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet vet-ck fmt fmt-check test race bench bench-json bench-compare examples serve lint docs-check loadtest loadtest-restart loadtest-replica fuzz-smoke loadtest-race
+.PHONY: all build vet vet-ck perfbench-check fmt fmt-check test race bench bench-json bench-compare examples serve lint docs-check loadtest loadtest-restart loadtest-replica fuzz-smoke loadtest-race
 
 all: build vet fmt-check test
 
@@ -22,6 +22,13 @@ vet:
 ## comment; see `go run ./internal/tools/ckvet -list`.
 vet-ck:
 	$(GO) run ./internal/tools/ckvet ./...
+
+## perfbench-check vets and tests the nested perfbench/ module (the repo
+## benchmark). `go build ./...` at the root skips nested modules, so
+## without this a library API change could break the benchmark with CI
+## green.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## fmt rewrites files in place; fmt-check (used by CI) only reports.
 fmt:

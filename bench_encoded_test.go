@@ -66,20 +66,43 @@ func BenchmarkEncodeTable(b *testing.B) {
 }
 
 // BenchmarkLatticeSweepPath is the bucketization-dominated headline
-// compare: materialize every node of the 72-node Adult lattice on a fresh
-// Problem, legacy scan vs encoded scan + incremental coarsening. No
-// disclosure DP runs, so the ratio is purely the tentpole's work.
+// compare: materialize every node of the 72-node Adult lattice, legacy
+// (the row-by-row string reference, ckprivacy.Bucketize, one scan per
+// node) vs encoded (a fresh Problem's Bucketize per node: one base scan,
+// then each miss a one-node planned sweep coarsening from the cheapest
+// recorded source). No disclosure DP runs, so the ratio is purely the
+// bucketization substrate's work.
 func BenchmarkLatticeSweepPath(b *testing.B) {
 	tab := mustAdult(b, ckprivacy.AdultDefaultN)
-	run := func(b *testing.B, opts ...ckprivacy.ProblemOption) {
-		nodes := 0
+	hs, qi := ckprivacy.AdultHierarchies(), ckprivacy.AdultQI()
+	p, err := ckprivacy.NewProblem(tab, hs, qi)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := p.Space().All()
+	b.Run("legacy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			p, err := ckprivacy.NewProblem(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI(), opts...)
+			for _, n := range nodes {
+				levels := ckprivacy.Levels{}
+				for d, name := range qi {
+					levels[name] = n[d]
+				}
+				bz, err := ckprivacy.Bucketize(tab, hs, levels)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkI = len(bz.Buckets)
+			}
+		}
+		reportRowsPerSec(b, float64(tab.Len())*float64(len(nodes)))
+	})
+	b.Run("encoded", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p, err := ckprivacy.NewProblem(tab, hs, qi)
 			if err != nil {
 				b.Fatal(err)
 			}
-			nodes = p.Space().Size()
-			for _, n := range p.Space().All() {
+			for _, n := range nodes {
 				bz, err := p.Bucketize(n)
 				if err != nil {
 					b.Fatal(err)
@@ -87,10 +110,8 @@ func BenchmarkLatticeSweepPath(b *testing.B) {
 				sinkI = len(bz.Buckets)
 			}
 		}
-		reportRowsPerSec(b, float64(tab.Len())*float64(nodes))
-	}
-	b.Run("legacy", func(b *testing.B) { run(b, ckprivacy.WithLegacyBucketize()) })
-	b.Run("encoded", func(b *testing.B) { run(b) })
+		reportRowsPerSec(b, float64(tab.Len())*float64(len(nodes)))
+	})
 }
 
 // BenchmarkLatticeSweepPlanned materializes the same 72 Adult lattice
@@ -130,18 +151,13 @@ func BenchmarkLatticeSweepPlanned(b *testing.B) {
 	reportRowsPerSec(b, float64(tab.Len())*float64(nodes))
 }
 
-// BenchmarkGridPlanned is the (c,k) policy grid with and without the
-// sweep planner: planned pre-materializes the canonical chain as one DAG
-// (a single base scan plus one coarsening per link) before any cell
-// searches; pernode lets every cell's binary search materialize its own
-// probes through the greedy per-miss path.
+// BenchmarkGridPlanned is the (c,k) policy grid on the sweep planner:
+// every cell's chain search hands each round of probes to the planner as
+// one sweep.
 func BenchmarkGridPlanned(b *testing.B) {
 	tab := mustAdult(b, 4000)
-	run := func(b *testing.B, noPlanned bool) {
-		cfg := ckprivacy.GridConfig{
-			Cs: []float64{0.6, 0.8}, Ks: []int{1, 3, 5},
-			Workers: 1, NoPlannedSweeps: noPlanned,
-		}
+	b.Run("planned", func(b *testing.B) {
+		cfg := ckprivacy.GridConfig{Cs: []float64{0.6, 0.8}, Ks: []int{1, 3, 5}, Workers: 1}
 		cells := len(cfg.Cs) * len(cfg.Ks)
 		for i := 0; i < b.N; i++ {
 			res, err := ckprivacy.RunSafetyGrid(tab, cfg)
@@ -151,9 +167,7 @@ func BenchmarkGridPlanned(b *testing.B) {
 			sinkI = len(res.Cells)
 		}
 		reportRowsPerSec(b, float64(tab.Len())*float64(cells))
-	}
-	b.Run("pernode", func(b *testing.B) { run(b, true) })
-	b.Run("planned", func(b *testing.B) { run(b, false) })
+	})
 }
 
 // reportRowsPerSec attaches the rows/s custom metric (rows of work per

@@ -19,11 +19,11 @@
 //     binary search on chains (Theorem 14), or Incognito.
 //
 // The lattice searches run level-wise parallel when given a worker budget
-// (NewProblem with WithWorkers, or -workers on the CLI): every
-// not-yet-pruned node of one lattice height is evaluated concurrently and
-// monotone pruning acts as a barrier between levels, so results — node
-// sets, order, and search statistics — are byte-identical to the serial
-// searches at any worker count. The same pool drives the experiment
+// (NewProblemWithOptions with ProblemOptions.Workers, or -workers on the
+// CLI): every not-yet-pruned node of one lattice height is evaluated
+// concurrently and monotone pruning acts as a barrier between levels, so
+// results — node sets, order, and search statistics — are byte-identical
+// to the serial searches at any worker count. The same pool drives the experiment
 // sweeps (RunFig5Config, RunFig6Config, RunSafetyGrid), the per-target
 // risk profile and Monte-Carlo estimation.
 //
@@ -52,10 +52,14 @@
 // histograms (BucketizeEncoded), with coarser lattice nodes derived from
 // finer materialized ones by merging buckets instead of rescanning rows
 // (CoarsenBucketization). NewProblem builds this state once per problem
-// and its searches use it transparently; the string path remains the
-// reference implementation (Bucketize, WithLegacyBucketize) and the two
-// are byte-identical — same bucket keys, tuple order, histograms, search
-// results and disclosure values — under randomized parity tests.
+// and its searches use it transparently, planning every bucketization
+// they need as a derivation DAG over the lattice. The string path
+// (Bucketize) remains the reference implementation, and the two are
+// byte-identical — same bucket keys, tuple order, histograms, search
+// results and disclosure values — under randomized parity tests. A
+// problem whose hierarchies do not compile over its table (a custom
+// hierarchy violating the nested-coarsening law, or a value outside its
+// hierarchy) runs on the string path, the only one correct there.
 //
 // Data streams in rather than arriving once: EncodedTable.Append grows
 // the dictionaries and code columns in place, and Problem.Append patches

@@ -4,6 +4,15 @@
 // (§3.4 of the paper) via naive monotone search, Incognito, or chain binary
 // search, and ranks results by a utility metric.
 //
+// There is one production path. Every search runs the lattice package's
+// batch form, and on the encoded substrate every bucketization is built by
+// the sweep planner (plan.go, sweep.go): a search frontier is one planned
+// sweep and a lone cache miss is a one-node sweep. Only when the
+// hierarchies do not compile over the table (a non-nested custom
+// hierarchy, or a value outside its hierarchy) does the problem run the
+// row-by-row string scan instead; the input picks that path, not an
+// option.
+//
 // A Problem is versioned: Append streams new rows into it, patching the
 // warm bucketization cache incrementally, while Snapshot pins one version
 // for the duration of a search, so long-running jobs and concurrent
@@ -38,7 +47,8 @@ type state struct {
 	// by (a prefix of) the master table's storage.
 	tab *table.Table
 	// enc and compiled are the columnar substrate pinned at this version;
-	// nil when the problem runs the legacy string path.
+	// nil when the hierarchies do not compile and the problem runs the
+	// string path.
 	enc      *table.Encoded
 	compiled hierarchy.CompiledSet
 	// cache holds the version's materialized bucketizations; sources
@@ -70,7 +80,7 @@ type Problem struct {
 	shardPool *parallel.Pool
 
 	// master is the append-only encoded view shared by all versions; nil
-	// when the problem runs the legacy string path. appendMu serializes
+	// when the problem runs the string path. appendMu serializes
 	// Append; cur is the atomically swapped current version.
 	master   *table.Encoded
 	appendMu sync.Mutex
@@ -116,28 +126,10 @@ type Options struct {
 	// Engine injects a fully configured (or shared) disclosure engine as
 	// the problem-scoped engine, overriding MemoMaxBytes.
 	Engine *core.Engine
-
-	// NoPlannedSweeps disables the sweep planner: lattice searches and
-	// MaterializeNodes evaluate node-by-node through the per-miss greedy
-	// coarsening path instead of planning each frontier's derivation DAG
-	// up front. The planned path is byte-identical (same nodes, stats and
-	// bucketizations); this switch exists for parity tests and benchmarks
-	// against the per-node path. The zero value — planner on — is the
-	// default. Implied by LegacyBucketize (the planner needs the encoded
-	// substrate).
-	NoPlannedSweeps bool
-
-	// LegacyBucketize disables the columnar encoded path: every
-	// bucketization runs the row-by-row string scan (and ShardWorkers is
-	// ignored — the legacy path never shards). The encoded path is
-	// byte-identical and much faster; this switch exists for parity tests
-	// and benchmarks against the reference implementation.
-	LegacyBucketize bool
 }
 
-// DefaultOptions returns the options NewProblem uses when none are given:
-// serial lattice search, single-threaded scans, default memo bound,
-// encoded path on.
+// DefaultOptions returns the options NewProblem uses: serial lattice
+// search, single-threaded scans, default memo bound.
 func DefaultOptions() Options {
 	return Options{Workers: 1, ShardWorkers: 1}
 }
@@ -150,55 +142,10 @@ func (o Options) resolved() Options {
 	return o
 }
 
-// Option configures a Problem at construction by mutating its Options.
-// The named With* constructors predate the Options struct and remain as
-// thin wrappers; new code should fill an Options and call
-// NewProblemWithOptions.
-type Option func(*Options)
-
-// WithWorkers sets Options.Workers.
-//
-// Deprecated: set Options.Workers and use NewProblemWithOptions.
-func WithWorkers(n int) Option {
-	return func(o *Options) { o.Workers = n }
-}
-
-// WithShardWorkers sets Options.ShardWorkers.
-//
-// Deprecated: set Options.ShardWorkers and use NewProblemWithOptions.
-func WithShardWorkers(n int) Option {
-	return func(o *Options) { o.ShardWorkers = n }
-}
-
-// WithMemoBytes sets Options.MemoMaxBytes.
-//
-// Deprecated: set Options.MemoMaxBytes and use NewProblemWithOptions.
-func WithMemoBytes(n int64) Option {
-	return func(o *Options) { o.MemoMaxBytes = n }
-}
-
-// WithEngine sets Options.Engine.
-//
-// Deprecated: set Options.Engine and use NewProblemWithOptions.
-func WithEngine(e *core.Engine) Option {
-	return func(o *Options) { o.Engine = e }
-}
-
-// WithLegacyBucketize sets Options.LegacyBucketize.
-//
-// Deprecated: set Options.LegacyBucketize and use NewProblemWithOptions.
-func WithLegacyBucketize() Option {
-	return func(o *Options) { o.LegacyBucketize = true }
-}
-
-// NewProblem validates the inputs and precomputes the lattice shape,
-// configured by functional options over DefaultOptions.
-func NewProblem(t *table.Table, hs hierarchy.Set, qi []string, opts ...Option) (*Problem, error) {
-	o := DefaultOptions()
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return NewProblemWithOptions(t, hs, qi, o)
+// NewProblem validates the inputs and precomputes the lattice shape under
+// DefaultOptions.
+func NewProblem(t *table.Table, hs hierarchy.Set, qi []string) (*Problem, error) {
+	return NewProblemWithOptions(t, hs, qi, DefaultOptions())
 }
 
 // newProblemCore validates the inputs and builds a Problem with its
@@ -254,27 +201,26 @@ func NewProblemWithOptions(t *table.Table, hs hierarchy.Set, qi []string, o Opti
 		return nil, err
 	}
 	// The version-1 row view is pinned ([:n:n]) on every path — including
-	// the legacy one — so a snapshot taken before the first Append can
+	// the string one — so a snapshot taken before the first Append can
 	// never observe rows the master table grows by.
 	st := &state{
 		version: 1,
 		tab:     &table.Table{Schema: t.Schema, Rows: t.Rows[:len(t.Rows):len(t.Rows)]},
 		cache:   newBucketizeCache(),
 	}
-	if !p.opts.LegacyBucketize {
-		// Encode once per problem; every bucketization, search and serving
-		// request on this problem reuses the columnar view. Compilation
-		// fails only when a table value is unknown to its hierarchy — the
-		// same inputs the string path rejects lazily at Bucketize time — so
-		// fall back to the reference path to preserve those semantics.
-		enc := t.Encode()
-		if chs, err := bucket.CompileHierarchies(enc, hs); err == nil {
-			p.master = enc
-			st.enc = enc.Snapshot()
-			st.tab = st.enc.Table
-			st.compiled = chs
-			st.sources = &coarsenIndex{}
-		}
+	// Encode once per problem; every bucketization, search and serving
+	// request on this problem reuses the columnar view. Compilation fails
+	// when a hierarchy violates the nested-coarsening law or a table value
+	// is unknown to its hierarchy — the latter the same inputs the string
+	// path rejects lazily at Bucketize time — so those inputs run the
+	// string path, which is correct on them.
+	enc := t.Encode()
+	if chs, err := bucket.CompileHierarchies(enc, hs); err == nil {
+		p.master = enc
+		st.enc = enc.Snapshot()
+		st.tab = st.enc.Table
+		st.compiled = chs
+		st.sources = &coarsenIndex{}
 	}
 	p.cur.Store(st)
 	return p, nil
@@ -295,9 +241,6 @@ func NewProblemFromEncoded(enc *table.Encoded, hs hierarchy.Set, qi []string, ve
 	}
 	if version < 1 {
 		return nil, fmt.Errorf("anonymize: version %d < 1", version)
-	}
-	if o.LegacyBucketize {
-		return nil, fmt.Errorf("anonymize: cannot recover an encoded problem onto the legacy path")
 	}
 	p, err := newProblemCore(t, hs, qi, o)
 	if err != nil {
@@ -341,7 +284,7 @@ func (p *Problem) Encoding() EncodingInfo {
 }
 
 // Engine returns the problem-scoped disclosure engine: a bounded,
-// concurrency-safe MINIMIZE1 memo sized by WithMemoBytes that callers
+// concurrency-safe MINIMIZE1 memo sized by Options.MemoMaxBytes that callers
 // should wire into (c,k)-safety criteria checked against this problem, so
 // lattice searches share warm DP state without growing without bound.
 // The engine spans versions — its memo is keyed by histogram content, so
@@ -436,7 +379,7 @@ func (s *Snapshot) Table() *table.Table { return s.st.tab }
 func (s *Snapshot) Problem() *Problem { return s.p }
 
 // Encoded returns the pinned columnar view of this version, or nil when
-// the problem runs the legacy string path. The view is immutable; the
+// the problem runs the string path. The view is immutable; the
 // durable store serializes its dictionaries and code columns directly.
 func (s *Snapshot) Encoded() *table.Encoded { return s.st.enc }
 
@@ -458,29 +401,42 @@ func (s *Snapshot) Bucketize(node lattice.Node) (*bucket.Bucketization, error) {
 // BucketizeSubset materializes the bucketization induced by a subset of the
 // QI dimensions at the given (subset-aligned) levels; the remaining QI
 // attributes are fully suppressed. Incognito's subset lattices are checked
-// through this path.
+// through this path. On the encoded path a cache miss is a one-node
+// planned sweep, so the planner alone picks every derivation's source;
+// without an encoded view it runs the reference string scan.
 func (s *Snapshot) BucketizeSubset(subset []int, node lattice.Node) (*bucket.Bucketization, error) {
 	levels, err := s.subsetLevels(subset, node)
 	if err != nil {
 		return nil, err
 	}
+	st := s.st
 	key := cacheKey(subset, node)
-	if bz, ok := s.st.cache.get(key); ok {
+	if bz, ok := st.cache.get(key); ok {
 		return bz, nil
 	}
-	bz, err := s.materialize(levels)
-	if err != nil {
+	if st.enc == nil {
+		bz, err := bucket.FromGeneralization(st.tab, s.p.Hierarchies, levels)
+		if err != nil {
+			return nil, err
+		}
+		st.cache.put(key, bz, levels)
+		return bz, nil
+	}
+	// get already counted this call's miss; the sweep must not count it
+	// again.
+	if _, err := s.sweep([]subsetNode{{subset: subset, node: node}}); err != nil {
 		return nil, err
 	}
-	s.st.cache.put(key, bz, levels)
+	bz, _ := st.cache.peek(key)
 	return bz, nil
 }
 
 // subsetLevels expands a (subset, node) pair into the complete level
 // assignment it induces: subset dimensions at the node's levels, every
-// other QI — listed or schema-implied — at top-level suppression. Both
-// the per-node path and the sweep planner build their requests through
-// this, so they agree on what a cache key means.
+// other QI — listed or schema-implied — at top-level suppression. Every
+// bucketization request, planned or string-path, is validated here: a
+// level outside its dimension's range is an error, never an index panic
+// further down.
 func (s *Snapshot) subsetLevels(subset []int, node lattice.Node) (bucket.Levels, error) {
 	p := s.p
 	if len(subset) != len(node) {
@@ -509,42 +465,17 @@ func (s *Snapshot) subsetLevels(subset []int, node lattice.Node) (bucket.Levels,
 		}
 		levels[name] = h.Levels() - 1
 	}
+	dims := p.space.Dims()
 	for i, d := range subset {
 		if d < 0 || d >= len(p.QI) {
 			return nil, fmt.Errorf("anonymize: subset dimension %d out of range", d)
 		}
+		if node[i] < 0 || node[i] >= dims[d] {
+			return nil, fmt.Errorf("anonymize: level %d for %q outside [0, %d)", node[i], p.QI[d], dims[d])
+		}
 		levels[p.QI[d]] = node[i]
 	}
 	return levels, nil
-}
-
-// materialize builds the bucketization for a complete level assignment
-// (every schema QI attribute present). On the encoded path it prefers
-// deriving the partition by coarsening the cheapest compatible
-// bucketization already materialized — O(buckets) instead of O(rows) —
-// and falls back to a single columnar scan; without an encoded view it
-// runs the reference string scan.
-func (s *Snapshot) materialize(levels bucket.Levels) (*bucket.Bucketization, error) {
-	st := s.st
-	if st.enc == nil {
-		return bucket.FromGeneralization(st.tab, s.p.Hierarchies, levels)
-	}
-	vec := levelVector(st.tab.Schema, levels)
-	var (
-		bz  *bucket.Bucketization
-		err error
-	)
-	if fine := st.sources.best(vec); fine != nil {
-		bz, err = bucket.Coarsen(fine, st.enc, st.compiled, levels)
-	} else {
-		bz, err = bucket.FromGeneralizationEncodedSharded(
-			st.enc, st.compiled, levels, s.scanShards(), s.p.shardPool)
-	}
-	if err != nil {
-		return nil, err
-	}
-	st.sources.add(vec, bz)
-	return bz, nil
 }
 
 // minRowsPerShard is the row count below which a sharded scan stops
@@ -583,23 +514,17 @@ func (s *Snapshot) Pred(crit privacy.Criterion) lattice.Pred {
 }
 
 // MinimalSafe returns all ⪯-minimal lattice nodes satisfying the criterion
-// using the bottom-up monotone search, evaluating each lattice level on the
-// problem's worker budget. The criterion's Satisfied must be safe for
-// concurrent calls when the budget exceeds 1 (all criteria in
-// internal/privacy are).
+// using the bottom-up monotone search, evaluating each lattice level as
+// one planned sweep on the problem's worker budget. The criterion's
+// Satisfied must be safe for concurrent calls when the budget exceeds 1
+// (all criteria in internal/privacy are).
 func (s *Snapshot) MinimalSafe(crit privacy.Criterion) ([]lattice.Node, lattice.Stats, error) {
-	if s.planned() {
-		return lattice.MinimalSatisfyingBatch(s.p.space, s.Pred(crit), s.nodePrefetch(), s.p.opts.Workers)
-	}
-	if s.p.opts.Workers == 1 {
-		return lattice.MinimalSatisfying(s.p.space, s.Pred(crit))
-	}
-	return lattice.MinimalSatisfyingParallel(s.p.space, s.Pred(crit), s.p.opts.Workers)
+	return lattice.MinimalSatisfyingBatch(s.p.space, s.Pred(crit), s.nodePrefetch(), s.p.opts.Workers)
 }
 
 // MinimalSafeIncognito returns the same minimal nodes via Incognito's
-// subset-pruned search, parallelized level-wise across same-size subset
-// lattices when the worker budget exceeds 1.
+// subset-pruned search, evaluating each layer of same-size subset
+// lattices as one planned sweep on the problem's worker budget.
 func (s *Snapshot) MinimalSafeIncognito(crit privacy.Criterion) ([]lattice.Node, lattice.Stats, error) {
 	check := func(subset []int, node lattice.Node) (bool, error) {
 		bz, err := s.BucketizeSubset(subset, node)
@@ -608,13 +533,7 @@ func (s *Snapshot) MinimalSafeIncognito(crit privacy.Criterion) ([]lattice.Node,
 		}
 		return crit.Satisfied(bz)
 	}
-	if s.planned() {
-		return lattice.IncognitoBatch(s.p.space, check, s.subsetPrefetch(), s.p.opts.Workers)
-	}
-	if s.p.opts.Workers == 1 {
-		return lattice.Incognito(s.p.space, check)
-	}
-	return lattice.IncognitoParallel(s.p.space, check, s.p.opts.Workers)
+	return lattice.IncognitoBatch(s.p.space, check, s.subsetPrefetch(), s.p.opts.Workers)
 }
 
 // ChainSearch searches the canonical chain from the most specific to the
@@ -624,19 +543,7 @@ func (s *Snapshot) MinimalSafeIncognito(crit privacy.Criterion) ([]lattice.Node,
 // multi-section search probing `workers` chain positions per round.
 func (s *Snapshot) ChainSearch(crit privacy.Criterion) (lattice.Node, bool, lattice.Stats, error) {
 	chain := s.p.space.Chain()
-	var (
-		idx   int
-		stats lattice.Stats
-		err   error
-	)
-	switch {
-	case s.planned():
-		idx, stats, err = lattice.BinarySearchChainBatch(chain, s.Pred(crit), s.nodePrefetch(), s.p.opts.Workers)
-	case s.p.opts.Workers == 1:
-		idx, stats, err = lattice.BinarySearchChain(chain, s.Pred(crit))
-	default:
-		idx, stats, err = lattice.BinarySearchChainParallel(chain, s.Pred(crit), s.p.opts.Workers)
-	}
+	idx, stats, err := lattice.BinarySearchChainBatch(chain, s.Pred(crit), s.nodePrefetch(), s.p.opts.Workers)
 	if err != nil {
 		return nil, false, stats, err
 	}
@@ -653,11 +560,11 @@ func (s *Snapshot) BestByUtility(nodes []lattice.Node, m utility.Metric) (int, *
 	if len(nodes) == 0 {
 		return -1, nil, fmt.Errorf("anonymize: no candidate nodes")
 	}
-	if s.planned() {
-		// The candidates are one frontier: materialize them as a planned
-		// batch before ranking (usually they are cached from the search
-		// that produced them, in which case this is a no-op).
-		if err := s.nodePrefetch()(nodes); err != nil {
+	// The candidates are one frontier: materialize them as a planned batch
+	// before ranking (usually they are cached from the search that produced
+	// them, in which case this is a no-op).
+	if prefetch := s.nodePrefetch(); prefetch != nil {
+		if err := prefetch(nodes); err != nil {
 			return -1, nil, err
 		}
 	}
@@ -682,17 +589,6 @@ func (s *Snapshot) BestByUtility(nodes []lattice.Node, m utility.Metric) (int, *
 // Snapshot directly when several calls must agree on one version).
 func (p *Problem) Bucketize(node lattice.Node) (*bucket.Bucketization, error) {
 	return p.Snapshot().Bucketize(node)
-}
-
-// BucketizeSubset is Snapshot.BucketizeSubset on the current version.
-func (p *Problem) BucketizeSubset(subset []int, node lattice.Node) (*bucket.Bucketization, error) {
-	return p.Snapshot().BucketizeSubset(subset, node)
-}
-
-// Pred adapts a privacy criterion to a lattice predicate over full nodes,
-// evaluated on the current version at call time.
-func (p *Problem) Pred(crit privacy.Criterion) lattice.Pred {
-	return p.Snapshot().Pred(crit)
 }
 
 // MinimalSafe runs Snapshot.MinimalSafe on the version current when the
@@ -720,7 +616,7 @@ func (p *Problem) BestByUtility(nodes []lattice.Node, m utility.Metric) (int, *b
 }
 
 // levelVector flattens a complete level assignment into schema QI order —
-// the comparable form the coarsening index orders sources by.
+// the comparable form the sweep planner matches sources by.
 func levelVector(s *table.Schema, levels bucket.Levels) []int {
 	qi := s.QuasiIdentifiers()
 	vec := make([]int, len(qi))

@@ -108,7 +108,8 @@ func TestBucketizeSubset(t *testing.T) {
 	p := hospital(t)
 	// Subset {Sex} at level 0: grouping by sex alone → 2 buckets of 5,
 	// exactly like the full node with Zip and Age suppressed.
-	bz, err := p.BucketizeSubset([]int{2}, lattice.Node{0})
+	snap := p.Snapshot()
+	bz, err := snap.BucketizeSubset([]int{2}, lattice.Node{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +120,18 @@ func TestBucketizeSubset(t *testing.T) {
 	if len(bz.Buckets) != len(full.Buckets) {
 		t.Errorf("subset buckets %d != full buckets %d", len(bz.Buckets), len(full.Buckets))
 	}
-	if _, err := p.BucketizeSubset([]int{0, 1}, lattice.Node{0}); err == nil {
+	if _, err := snap.BucketizeSubset([]int{0, 1}, lattice.Node{0}); err == nil {
 		t.Error("mismatched subset/node accepted")
 	}
-	if _, err := p.BucketizeSubset([]int{7}, lattice.Node{0}); err == nil {
+	if _, err := snap.BucketizeSubset([]int{7}, lattice.Node{0}); err == nil {
 		t.Error("out-of-range subset accepted")
+	}
+	// Levels outside the dimension's range are errors on every path, cold
+	// or warm, never index panics.
+	for _, n := range []lattice.Node{{-1}, {2}} {
+		if _, err := snap.BucketizeSubset([]int{2}, n); err == nil {
+			t.Errorf("out-of-range level %v accepted", n)
+		}
 	}
 }
 
@@ -147,7 +155,7 @@ func TestMinimalSafeMatchesIncognitoAndNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			naive, _, err := lattice.NaiveMinimal(p.Space(), p.Pred(crit))
+			naive, _, err := lattice.NaiveMinimal(p.Space(), p.Snapshot().Pred(crit))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +191,7 @@ func TestMinimalSafeCKSafetyHospital(t *testing.T) {
 		t.Errorf("paper node [1 1 0] not covered by minimal set %v", minimal)
 	}
 	// Every minimal node satisfies, every child of it fails.
-	pred := p.Pred(crit)
+	pred := p.Snapshot().Pred(crit)
 	for _, n := range minimal {
 		ok, err := pred(n)
 		if err != nil || !ok {
@@ -252,6 +260,13 @@ func TestBestByUtility(t *testing.T) {
 	}
 	if _, _, err := p.BestByUtility(nil, utility.Discernibility{}); err == nil {
 		t.Error("empty candidates accepted")
+	}
+	// A candidate level outside its dimension's range is an error, not a
+	// panic in the planner's cardinality bound.
+	for _, n := range []lattice.Node{{-1, 0, 0}, {0, 3, 0}} {
+		if _, _, err := p.BestByUtility([]lattice.Node{n}, utility.Discernibility{}); err == nil {
+			t.Errorf("out-of-range candidate %v accepted", n)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ func TestAppendParitySearches(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("case %d cut %d (c=%v k=%d workers=%d)", i, cut, c, k, workers)
 
-			appended, err := NewProblem(base.Clone(), hs, qi, WithWorkers(workers))
+			appended, err := NewProblemWithOptions(base.Clone(), hs, qi, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s: base problem: %v", label, err)
 			}
@@ -84,7 +84,7 @@ func TestAppendParitySearches(t *testing.T) {
 				t.Fatalf("%s: version/rows %d/%d after append", label, appended.Version(), appended.Rows())
 			}
 
-			rebuilt, err := NewProblem(tab.Clone(), hs, qi, WithWorkers(workers))
+			rebuilt, err := NewProblemWithOptions(tab.Clone(), hs, qi, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s: rebuilt problem: %v", label, err)
 			}
@@ -155,19 +155,23 @@ func TestAppendParitySearches(t *testing.T) {
 }
 
 // TestAppendParityLegacyPath runs the append-parity property on the
-// string path: the cache is invalidated wholesale, and results still match
-// a from-scratch legacy problem on the concatenated table.
+// string path (a non-nested hierarchy selects it): the cache is
+// invalidated wholesale, and results still match the string-scan oracle
+// on the concatenated table.
 func TestAppendParityLegacyPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	tab, hs, qi := randomProblemCase(rng)
+	tab, hs, qi := nonNestedCase(rng)
 	cut := tab.Len() / 2
 	base := table.New(tab.Schema)
 	for _, r := range tab.Rows[:cut] {
 		base.MustAppend(r)
 	}
-	p, err := NewProblem(base.Clone(), hs, qi, WithLegacyBucketize())
+	p, err := NewProblem(base.Clone(), hs, qi)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if p.Encoding().Enabled {
+		t.Fatal("fixture did not take the string path")
 	}
 	for _, node := range p.Space().All() {
 		if _, err := p.Bucketize(node); err != nil {
@@ -185,12 +189,10 @@ func TestAppendParityLegacyPath(t *testing.T) {
 	if p.CacheStats().Entries != 0 {
 		t.Fatalf("legacy append left %d cached entries", p.CacheStats().Entries)
 	}
-	rebuilt, err := NewProblem(tab.Clone(), hs, qi, WithLegacyBucketize())
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := newOracle(t, tab, hs, qi)
+	id := identitySubset(len(qi))
 	for _, node := range p.Space().All() {
-		want, err := rebuilt.Bucketize(node)
+		want, err := o.bucketize(id, node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,15 +304,18 @@ func TestAppendRejectsUncoveredValue(t *testing.T) {
 // before the first append must keep its row count and partitions.
 func TestLegacySnapshotPinnedAcrossAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	tab, hs, qi := randomProblemCase(rng)
+	tab, hs, qi := nonNestedCase(rng)
 	cut := tab.Len() / 2
 	base := table.New(tab.Schema)
 	for _, r := range tab.Rows[:cut] {
 		base.MustAppend(r)
 	}
-	p, err := NewProblem(base, hs, qi, WithLegacyBucketize())
+	p, err := NewProblem(base, hs, qi)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if p.Encoding().Enabled {
+		t.Fatal("fixture did not take the string path")
 	}
 	snap := p.Snapshot()
 	node := p.Space().All()[0]
@@ -339,21 +344,30 @@ func TestLegacySnapshotPinnedAcrossAppend(t *testing.T) {
 // Bucketize of the dataset.
 func TestLegacyAppendRejectsUncoveredValue(t *testing.T) {
 	s, err := table.NewSchema([]table.Attribute{
+		{Name: "q0", Kind: table.Categorical, Domain: []string{"a", "b", "c"}},
 		{Name: "City", Kind: table.Categorical, Domain: []string{"a", "b", "c"}},
 		{Name: "sens", Kind: table.Categorical, Domain: []string{"s0", "s1"}},
 	}, "sens")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := hierarchy.Set{"City": hierarchy.NewSuppression("City", []string{"a", "b"})}
+	// The non-nested q0 hierarchy selects the string path; City's
+	// hierarchy covers only a and b.
+	hs := hierarchy.Set{
+		"q0":   nonNested{},
+		"City": hierarchy.NewSuppression("City", []string{"a", "b"}),
+	}
 	tab := table.New(s)
-	tab.MustAppend(table.Row{"a", "s0"})
-	tab.MustAppend(table.Row{"b", "s1"})
-	p, err := NewProblem(tab, hs, []string{"City"}, WithLegacyBucketize())
+	tab.MustAppend(table.Row{"a", "a", "s0"})
+	tab.MustAppend(table.Row{"b", "b", "s1"})
+	p, err := NewProblem(tab, hs, []string{"q0", "City"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Append([]table.Row{{"a", "s1"}, {"c", "s0"}}); err == nil {
+	if p.Encoding().Enabled {
+		t.Fatal("fixture did not take the string path")
+	}
+	if _, err := p.Append([]table.Row{{"b", "a", "s1"}, {"a", "c", "s0"}}); err == nil {
 		t.Fatal("legacy append accepted a value outside the hierarchy")
 	}
 	if p.Version() != 1 || p.Rows() != 2 {
@@ -378,7 +392,7 @@ func TestConcurrentAppendAndSearch(t *testing.T) {
 	for _, r := range tab.Rows {
 		base.MustAppend(r)
 	}
-	p, err := NewProblem(base, hs, qi, WithWorkers(2))
+	p, err := NewProblemWithOptions(base, hs, qi, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

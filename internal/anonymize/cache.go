@@ -91,10 +91,10 @@ func (c *bucketizeCache) peek(key string) (*bucket.Bucketization, bool) {
 	return e.bz, ok
 }
 
-// countMiss attributes one materialization to the miss counter. The sweep
-// executor calls it per node it actually builds, so a planned sweep and a
-// per-node sweep report the same number of misses (= materializations).
-func (c *bucketizeCache) countMiss() { c.misses.Add(1) }
+// countMisses attributes n prefetched materializations to the miss
+// counter, so a search whose frontiers were prefetched reports the same
+// misses (= materializations) as one whose predicates missed one by one.
+func (c *bucketizeCache) countMisses(n int) { c.misses.Add(uint64(n)) }
 
 func (c *bucketizeCache) put(key string, bz *bucket.Bucketization, levels bucket.Levels) {
 	s := c.shard(key)

@@ -4,15 +4,15 @@ import (
 	"sync"
 
 	"ckprivacy/internal/bucket"
+	"ckprivacy/internal/lattice"
 )
 
 // coarsenIndex tracks every bucketization the problem has materialized,
-// keyed by its full level vector (schema QI order). A cache miss for a
-// node can then be served by bucket.Coarsen from any recorded source
-// whose vector is component-wise ≤ the target — the hierarchies' nested
-// coarsening law makes the derivation exact — and the index picks the
-// source with the fewest buckets, since coarsening cost is linear in
-// source bucket count.
+// keyed by its full level vector (schema QI order). It is the sweep
+// planner's source catalogue: a planned node can coarsen from any recorded
+// source whose vector is component-wise ≤ its own — the hierarchies'
+// nested coarsening law makes the derivation exact — and buildPlan picks
+// the cheapest one.
 //
 // The index spans Incognito's subset lattices too: subsets map into the
 // same full-vector space (non-subset attributes pinned to top-level
@@ -21,19 +21,10 @@ import (
 // distinct level vectors, i.e. the lattice size; the bucketizations
 // themselves are already retained by the problem's bucketize cache, so
 // entries add only a vector and a pointer.
-//
-// Entries are bucketed by level sum (lattice height): a source can only
-// be finer than a target of height h if its own height is ≤ h — in fact
-// strictly <, except for the target's own vector — so a lookup compares
-// component-wise only against the plausible height buckets instead of
-// every recorded vector. Ties on bucket count break lexicographically on
-// the level vector, so which source serves a derivation never depends on
-// cache-fill order — repeated runs coarsen from the same source and
-// produce identical bucket storage, not merely equal values.
 type coarsenIndex struct {
-	mu       sync.Mutex
-	byHeight map[int][]coarsenEntry
-	count    int
+	mu      sync.Mutex
+	entries []coarsenEntry
+	seen    map[string]bool
 }
 
 type coarsenEntry struct {
@@ -71,70 +62,36 @@ func vecHeight(vec []int) int {
 	return h
 }
 
-// best returns the cheapest recorded source whose level vector is
-// component-wise ≤ target, or nil when no compatible source exists yet.
-// Only height buckets ≤ the target's height are scanned; ties on bucket
-// count resolve to the lexicographically smallest vector.
-func (ci *coarsenIndex) best(target []int) *bucket.Bucketization {
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
-	h := vecHeight(target)
-	var (
-		best    *bucket.Bucketization
-		bestVec []int
-	)
-	for hh, entries := range ci.byHeight {
-		if hh > h {
-			continue
-		}
-		for _, e := range entries {
-			if len(e.vec) != len(target) || !leqVec(e.vec, target) {
-				continue
-			}
-			if best == nil || len(e.bz.Buckets) < len(best.Buckets) ||
-				(len(e.bz.Buckets) == len(best.Buckets) && lessVec(e.vec, bestVec)) {
-				best, bestVec = e.bz, e.vec
-			}
-		}
-	}
-	return best
-}
-
 // add records a materialized bucketization under its level vector.
 // Duplicate vectors (racing workers materializing the same node) keep the
 // first entry; both values are byte-identical, so either serves.
 func (ci *coarsenIndex) add(vec []int, bz *bucket.Bucketization) {
+	key := lattice.Node(vec).Key()
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
-	if ci.byHeight == nil {
-		ci.byHeight = make(map[int][]coarsenEntry)
+	if ci.seen[key] {
+		return
 	}
-	h := vecHeight(vec)
-	for _, e := range ci.byHeight[h] {
-		if len(e.vec) == len(vec) && leqVec(e.vec, vec) && leqVec(vec, e.vec) {
-			return
-		}
+	if ci.seen == nil {
+		ci.seen = make(map[string]bool)
 	}
-	ci.byHeight[h] = append(ci.byHeight[h], coarsenEntry{vec: append([]int(nil), vec...), bz: bz})
-	ci.count++
+	ci.seen[key] = true
+	ci.entries = append(ci.entries, coarsenEntry{vec: append([]int(nil), vec...), bz: bz})
 }
 
 // size reports the number of recorded vectors.
 func (ci *coarsenIndex) size() int {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
-	return ci.count
+	return len(ci.entries)
 }
 
-// snapshot returns a point-in-time copy of the entries — the sweep
-// planner enumerates candidate sources from this (the vectors are shared,
-// not copied; entries are immutable once added).
+// snapshot returns a point-in-time view of the entries — the sweep
+// planner enumerates candidate sources from this. The view is capped at
+// its length, so later adds never show through it, and entries are
+// immutable once added.
 func (ci *coarsenIndex) snapshot() []coarsenEntry {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
-	out := make([]coarsenEntry, 0, ci.count)
-	for _, entries := range ci.byHeight {
-		out = append(out, entries...)
-	}
-	return out
+	return ci.entries[:len(ci.entries):len(ci.entries)]
 }

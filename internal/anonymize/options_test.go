@@ -32,10 +32,10 @@ func hospitalOptions(t *testing.T, o Options) *Problem {
 
 // TestOptionsResolution pins the struct-options surface: defaults, the
 // per-core resolution of non-positive budgets, the resolved view Options()
-// reports (including the problem-scoped engine), and that every legacy
-// With* wrapper writes through to the same struct.
+// reports (including the problem-scoped engine), and that an injected
+// engine becomes the problem-scoped one.
 func TestOptionsResolution(t *testing.T) {
-	if d := DefaultOptions(); d.Workers != 1 || d.ShardWorkers != 1 || d.MemoMaxBytes != 0 || d.Engine != nil || d.LegacyBucketize {
+	if d := DefaultOptions(); d.Workers != 1 || d.ShardWorkers != 1 || d.MemoMaxBytes != 0 || d.Engine != nil {
 		t.Fatalf("DefaultOptions() = %+v, want serial single-threaded defaults", d)
 	}
 
@@ -54,20 +54,11 @@ func TestOptionsResolution(t *testing.T) {
 		t.Fatalf("Options() = %+v, want per-core budgets (%d)", got, runtime.GOMAXPROCS(0))
 	}
 
-	// Every deprecated functional option must write through to Options.
 	eng := core.NewEngine()
-	base := hospital(t)
-	p, err := NewProblem(base.Table, base.Hierarchies, base.QI,
-		WithWorkers(2), WithShardWorkers(5), WithMemoBytes(-1), WithEngine(eng), WithLegacyBucketize())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p = hospitalOptions(t, Options{Workers: 2, ShardWorkers: 5, MemoMaxBytes: -1, Engine: eng})
 	got = p.Options()
-	if got.Workers != 2 || got.ShardWorkers != 5 || got.MemoMaxBytes != -1 || got.Engine != eng || !got.LegacyBucketize {
-		t.Fatalf("Options() = %+v after functional options, want {2 5 -1 %p true}", got, eng)
-	}
-	if p.Encoding().Enabled {
-		t.Fatal("WithLegacyBucketize did not disable the encoded path")
+	if got.Workers != 2 || got.ShardWorkers != 5 || got.MemoMaxBytes != -1 || got.Engine != eng || p.Engine() != eng {
+		t.Fatalf("Options() = %+v, want {2 5 -1 %p}", got, eng)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 func hospitalWorkers(t *testing.T, workers int) *Problem {
 	t.Helper()
 	base := hospital(t)
-	p, err := NewProblem(base.Table, base.Hierarchies, base.QI, WithWorkers(workers))
+	p, err := NewProblemWithOptions(base.Table, base.Hierarchies, base.QI, Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,13 @@ func TestWithWorkersResolution(t *testing.T) {
 	}
 }
 
-// TestParallelSearchesMatchSerial is the cross-layer equivalence test: the
-// searches must return identical node sequences AND identical Stats at any
-// worker budget, for every criterion.
+// TestParallelSearchesMatchSerial is the cross-layer equivalence test: at
+// any worker budget and for every criterion, the searches must return the
+// node sequences and Stats of the serial lattice searches run against the
+// string-scan oracle and against a fresh problem's per-node predicate.
 func TestParallelSearchesMatchSerial(t *testing.T) {
-	serial := hospital(t)
+	base := hospital(t)
+	o := newOracle(t, base.Table, base.Hierarchies, base.QI)
 	engine := core.NewEngine()
 	criteria := []privacy.Criterion{
 		privacy.KAnonymity{K: 2},
@@ -49,44 +51,7 @@ func TestParallelSearchesMatchSerial(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		par := hospitalWorkers(t, workers)
 		for _, crit := range criteria {
-			sN, sStats, err := serial.MinimalSafe(crit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pN, pStats, err := par.MinimalSafe(crit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameNodeOrder(sN, pN) || sStats != pStats {
-				t.Errorf("workers=%d %s: MinimalSafe %v/%+v != serial %v/%+v",
-					workers, crit.Name(), pN, pStats, sN, sStats)
-			}
-
-			sN, sStats, err = serial.MinimalSafeIncognito(crit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pN, pStats, err = par.MinimalSafeIncognito(crit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameNodeOrder(sN, pN) || sStats != pStats {
-				t.Errorf("workers=%d %s: Incognito %v/%+v != serial %v/%+v",
-					workers, crit.Name(), pN, pStats, sN, sStats)
-			}
-
-			sNode, sOK, _, err := serial.ChainSearch(crit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pNode, pOK, _, err := par.ChainSearch(crit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sOK != pOK || (sOK && sNode.Key() != pNode.Key()) {
-				t.Errorf("workers=%d %s: ChainSearch %v/%v != serial %v/%v",
-					workers, crit.Name(), pNode, pOK, sNode, sOK)
-			}
+			requireOracleSearches(t, fmt.Sprintf("workers=%d %s", workers, crit.Name()), par, o, crit)
 		}
 	}
 }
@@ -183,8 +148,8 @@ func TestBoundedMemoSearchParity(t *testing.T) {
 	var refNodes []lattice.Node
 	var refStats lattice.Stats
 	for i, eng := range engines {
-		p, err := NewProblem(base.Table, base.Hierarchies, base.QI,
-			WithWorkers(4), WithEngine(eng))
+		p, err := NewProblemWithOptions(base.Table, base.Hierarchies, base.QI,
+			Options{Workers: 4, Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,15 +7,189 @@ import (
 	"strconv"
 	"testing"
 
+	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
 	"ckprivacy/internal/hierarchy"
+	"ckprivacy/internal/lattice"
+	"ckprivacy/internal/privacy"
 	"ckprivacy/internal/table"
 )
 
 // Randomized search-parity harness: for random tables, hierarchies, QI
 // orders and (c,k) policies, a Problem on the encoded path must return
-// byte-identical search results — nodes, stats, disclosure values — to a
-// Problem forced onto the legacy string path, at every worker count.
+// byte-identical search results — nodes, stats, bucketizations,
+// disclosure values — to the reference oracles at every worker count.
+
+// oracle is the reference every production path is checked against: the
+// row-by-row string scan bucket.FromGeneralization at each node,
+// uncached, driven by the serial lattice searches.
+type oracle struct {
+	tab   *table.Table
+	hs    hierarchy.Set
+	qi    []string
+	space lattice.Space
+}
+
+func newOracle(t *testing.T, tab *table.Table, hs hierarchy.Set, qi []string) *oracle {
+	t.Helper()
+	dims, err := hs.Dims(qi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := lattice.NewSpace(dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &oracle{tab: tab, hs: hs, qi: qi, space: space}
+}
+
+// bucketize scans the table at subset's levels, every other QI suppressed.
+func (o *oracle) bucketize(subset []int, node lattice.Node) (*bucket.Bucketization, error) {
+	levels := bucket.Levels{}
+	for _, col := range o.tab.Schema.QuasiIdentifiers() {
+		name := o.tab.Schema.Attrs[col].Name
+		levels[name] = o.hs[name].Levels() - 1
+	}
+	for i, d := range subset {
+		levels[o.qi[d]] = node[i]
+	}
+	return bucket.FromGeneralization(o.tab, o.hs, levels)
+}
+
+func (o *oracle) pred(crit privacy.Criterion) lattice.Pred {
+	id := identitySubset(len(o.qi))
+	return func(n lattice.Node) (bool, error) {
+		bz, err := o.bucketize(id, n)
+		if err != nil {
+			return false, err
+		}
+		return crit.Satisfied(bz)
+	}
+}
+
+func (o *oracle) check(crit privacy.Criterion) lattice.SubsetPred {
+	return func(subset []int, n lattice.Node) (bool, error) {
+		bz, err := o.bucketize(subset, n)
+		if err != nil {
+			return false, err
+		}
+		return crit.Satisfied(bz)
+	}
+}
+
+// snapshotCheck is a fresh problem's per-node subset predicate: every
+// call is a Bucketize cache hit or a one-node planned sweep.
+func snapshotCheck(s *Snapshot, crit privacy.Criterion) lattice.SubsetPred {
+	return func(subset []int, n lattice.Node) (bool, error) {
+		bz, err := s.BucketizeSubset(subset, n)
+		if err != nil {
+			return false, err
+		}
+		return crit.Satisfied(bz)
+	}
+}
+
+// requireOracleSearches runs the problem's three searches and asserts
+// they return the nodes and stats of the serial lattice searches, driven
+// once by the string-scan oracle and once by a fresh problem's per-node
+// predicate over the same rows. ChainSearch's multi-section probing
+// changes its Evaluated count with the worker budget, so its stats are
+// held to the serial search only at one worker and otherwise to the
+// nil-prefetch batch search at the same budget.
+func requireOracleSearches(t *testing.T, label string, p *Problem, o *oracle, crit privacy.Criterion) {
+	t.Helper()
+	fresh, err := NewProblem(o.tab, o.hs, o.qi)
+	if err != nil {
+		t.Fatalf("%s: fresh problem: %v", label, err)
+	}
+	fs := fresh.Snapshot()
+	refs := []struct {
+		name  string
+		pred  lattice.Pred
+		check lattice.SubsetPred
+	}{
+		{"string oracle", o.pred(crit), o.check(crit)},
+		{"per-node", fs.Pred(crit), snapshotCheck(fs, crit)},
+	}
+
+	gotN, gotS, err := p.MinimalSafe(crit)
+	if err != nil {
+		t.Fatalf("%s: MinimalSafe: %v", label, err)
+	}
+	incN, incS, err := p.MinimalSafeIncognito(crit)
+	if err != nil {
+		t.Fatalf("%s: Incognito: %v", label, err)
+	}
+	chN, chOK, chS, err := p.ChainSearch(crit)
+	if err != nil {
+		t.Fatalf("%s: ChainSearch: %v", label, err)
+	}
+	workers, chain := p.Workers(), o.space.Chain()
+	for _, ref := range refs {
+		wn, ws, err := lattice.MinimalSatisfying(o.space, ref.pred)
+		if err != nil {
+			t.Fatalf("%s: %s MinimalSatisfying: %v", label, ref.name, err)
+		}
+		if !reflect.DeepEqual(wn, gotN) || ws != gotS {
+			t.Fatalf("%s: MinimalSafe %v %+v, %s %v %+v", label, gotN, gotS, ref.name, wn, ws)
+		}
+
+		wn, ws, err = lattice.Incognito(o.space, ref.check)
+		if err != nil {
+			t.Fatalf("%s: %s Incognito: %v", label, ref.name, err)
+		}
+		if !reflect.DeepEqual(wn, incN) || ws != incS {
+			t.Fatalf("%s: Incognito %v %+v, %s %v %+v", label, incN, incS, ref.name, wn, ws)
+		}
+
+		idx, cs, err := lattice.BinarySearchChain(chain, ref.pred)
+		if err != nil {
+			t.Fatalf("%s: %s BinarySearchChain: %v", label, ref.name, err)
+		}
+		if workers > 1 {
+			if _, cs, err = lattice.BinarySearchChainBatch(chain, ref.pred, nil, workers); err != nil {
+				t.Fatalf("%s: %s BinarySearchChainBatch: %v", label, ref.name, err)
+			}
+		}
+		var want lattice.Node
+		if idx >= 0 {
+			want = chain[idx]
+		}
+		if chOK != (idx >= 0) || !reflect.DeepEqual(want, chN) || cs != chS {
+			t.Fatalf("%s: ChainSearch %v/%v %+v, %s %v/%v %+v", label, chN, chOK, chS, ref.name, want, idx >= 0, cs)
+		}
+	}
+}
+
+// requireOracleBucketizations asserts the problem's bucketization at
+// every lattice node is byte-identical to the string-scan oracle's, with
+// equal max disclosure at k.
+func requireOracleBucketizations(t *testing.T, label string, s *Snapshot, o *oracle, k int) {
+	t.Helper()
+	id := identitySubset(len(o.qi))
+	for _, node := range o.space.All() {
+		got, err := s.Bucketize(node)
+		if err != nil {
+			t.Fatalf("%s: bucketize %v: %v", label, node, err)
+		}
+		want, err := o.bucketize(id, node)
+		if err != nil {
+			t.Fatalf("%s: oracle bucketize %v: %v", label, node, err)
+		}
+		assertSameBucketization(t, fmt.Sprintf("%s node %v", label, node), want, got)
+		wd, err := core.MaxDisclosure(want, k)
+		if err != nil {
+			t.Fatalf("%s: oracle disclosure %v: %v", label, node, err)
+		}
+		gd, err := core.MaxDisclosure(got, k)
+		if err != nil {
+			t.Fatalf("%s: disclosure %v: %v", label, node, err)
+		}
+		if wd != gd {
+			t.Fatalf("%s: disclosure at %v: %v, oracle %v", label, node, gd, wd)
+		}
+	}
+}
 
 // randomProblemCase draws a random table + hierarchy set (every QI gets a
 // hierarchy so subset searches can suppress attributes).
@@ -65,8 +239,9 @@ func randomProblemCase(rng *rand.Rand) (*table.Table, hierarchy.Set, []string) {
 	return tab, hs, qi
 }
 
-// TestSearchParityEncodedVsLegacy runs all three searches on both paths
-// and asserts identical nodes, stats and disclosure values.
+// TestSearchParityEncodedVsLegacy runs all three searches on the encoded
+// path and asserts identical nodes, stats, bucketizations and disclosure
+// values to the string-scan oracle.
 func TestSearchParityEncodedVsLegacy(t *testing.T) {
 	cases := 25
 	if testing.Short() {
@@ -77,82 +252,18 @@ func TestSearchParityEncodedVsLegacy(t *testing.T) {
 		tab, hs, qi := randomProblemCase(rng)
 		c := []float64{0.4, 0.6, 0.8}[rng.Intn(3)]
 		k := rng.Intn(3)
+		o := newOracle(t, tab, hs, qi)
 		for _, workers := range []int{1, 4} {
-			legacy, err := NewProblem(tab, hs, qi, WithWorkers(workers), WithLegacyBucketize())
-			if err != nil {
-				t.Fatalf("case %d: legacy problem: %v", i, err)
-			}
-			encoded, err := NewProblem(tab, hs, qi, WithWorkers(workers))
+			encoded, err := NewProblemWithOptions(tab, hs, qi, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("case %d: encoded problem: %v", i, err)
-			}
-			if legacy.Encoding().Enabled {
-				t.Fatalf("case %d: WithLegacyBucketize left encoding enabled", i)
 			}
 			if !encoded.Encoding().Enabled {
 				t.Fatalf("case %d: encoded problem did not encode", i)
 			}
 			label := fmt.Sprintf("case %d (c=%v k=%d workers=%d)", i, c, k, workers)
-
-			ln, ls, err := legacy.MinimalSafe(legacy.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: legacy MinimalSafe: %v", label, err)
-			}
-			en, es, err := encoded.MinimalSafe(encoded.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: encoded MinimalSafe: %v", label, err)
-			}
-			if !reflect.DeepEqual(ln, en) || ls != es {
-				t.Fatalf("%s: MinimalSafe mismatch: legacy %v %+v, encoded %v %+v", label, ln, ls, en, es)
-			}
-
-			ln, ls, err = legacy.MinimalSafeIncognito(legacy.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: legacy Incognito: %v", label, err)
-			}
-			en, es, err = encoded.MinimalSafeIncognito(encoded.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: encoded Incognito: %v", label, err)
-			}
-			if !reflect.DeepEqual(ln, en) || ls != es {
-				t.Fatalf("%s: Incognito mismatch: legacy %v %+v, encoded %v %+v", label, ln, ls, en, es)
-			}
-
-			lNode, lOK, lStats, err := legacy.ChainSearch(legacy.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: legacy ChainSearch: %v", label, err)
-			}
-			eNode, eOK, eStats, err := encoded.ChainSearch(encoded.CKSafety(c, k))
-			if err != nil {
-				t.Fatalf("%s: encoded ChainSearch: %v", label, err)
-			}
-			if lOK != eOK || !reflect.DeepEqual(lNode, eNode) || lStats != eStats {
-				t.Fatalf("%s: ChainSearch mismatch: legacy %v/%v %+v, encoded %v/%v %+v",
-					label, lNode, lOK, lStats, eNode, eOK, eStats)
-			}
-
-			// Disclosure values over both paths' bucketizations, node by node.
-			for _, node := range legacy.Space().All() {
-				lbz, err := legacy.Bucketize(node)
-				if err != nil {
-					t.Fatalf("%s: legacy bucketize %v: %v", label, node, err)
-				}
-				ebz, err := encoded.Bucketize(node)
-				if err != nil {
-					t.Fatalf("%s: encoded bucketize %v: %v", label, node, err)
-				}
-				ld, err := core.MaxDisclosure(lbz, k)
-				if err != nil {
-					t.Fatalf("%s: legacy disclosure %v: %v", label, node, err)
-				}
-				ed, err := core.MaxDisclosure(ebz, k)
-				if err != nil {
-					t.Fatalf("%s: encoded disclosure %v: %v", label, node, err)
-				}
-				if ld != ed {
-					t.Fatalf("%s: disclosure at %v: legacy %v, encoded %v", label, node, ld, ed)
-				}
-			}
+			requireOracleSearches(t, label, encoded, o, privacy.CKSafety{C: c, K: k, Engine: encoded.Engine()})
+			requireOracleBucketizations(t, label, encoded.Snapshot(), o, k)
 		}
 	}
 }
@@ -178,6 +289,30 @@ func (nonNested) Generalize(v string, level int) (string, error) {
 		}
 		return "q", nil
 	}
+}
+
+// nonNestedCase draws a random table whose q0 hierarchy is nonNested, so
+// the problem over it runs the string path; q1 is an ordinary interval
+// attribute so the lattice has more than one dimension.
+func nonNestedCase(rng *rand.Rand) (*table.Table, hierarchy.Set, []string) {
+	s, err := table.NewSchema([]table.Attribute{
+		{Name: "q0", Kind: table.Categorical, Domain: []string{"a", "b", "c"}},
+		{Name: "q1", Kind: table.Numeric, Min: 0, Max: 99},
+		{Name: "sens", Kind: table.Categorical, Domain: []string{"s0", "s1", "s2"}},
+	}, "sens")
+	if err != nil {
+		panic(err)
+	}
+	tab := table.New(s)
+	for r := 0; r < 10+rng.Intn(60); r++ {
+		q0 := []string{"a", "b", "c"}[rng.Intn(3)]
+		if r < 2 {
+			q0 = []string{"a", "b"}[r] // a and b split only at level 2
+		}
+		tab.MustAppend(table.Row{q0, strconv.Itoa(rng.Intn(100)), []string{"s0", "s1", "s2"}[rng.Intn(3)]})
+	}
+	hs := hierarchy.Set{"q0": nonNested{}, "q1": hierarchy.MustInterval("q1", []int{1, 10, 0})}
+	return tab, hs, []string{"q0", "q1"}
 }
 
 // TestNonNestedHierarchyFallsBackToLegacy pins the safety net: a problem
@@ -208,12 +343,10 @@ func TestNonNestedHierarchyFallsBackToLegacy(t *testing.T) {
 	if p.Encoding().Enabled {
 		t.Fatal("encoded path enabled for a non-nested hierarchy")
 	}
-	legacy, err := NewProblem(tab, hs, []string{"q0"}, WithLegacyBucketize())
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := newOracle(t, tab, hs, []string{"q0"})
+	id := identitySubset(1)
 	for _, node := range p.Space().All() {
-		want, err := legacy.Bucketize(node)
+		want, err := o.bucketize(id, node)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,8 +355,17 @@ func TestNonNestedHierarchyFallsBackToLegacy(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("node %v: fallback bucketization differs from legacy", node)
+			t.Fatalf("node %v: fallback bucketization differs from the string scan", node)
 		}
+	}
+	// The searches run the batch forms with no prefetch hook and must
+	// still agree with the serial oracles.
+	for _, workers := range []int{1, 4} {
+		p, err := NewProblemWithOptions(tab, hs, []string{"q0"}, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOracleSearches(t, fmt.Sprintf("non-nested workers=%d", workers), p, o, privacy.KAnonymity{K: 5})
 	}
 }
 

@@ -57,10 +57,9 @@ type sweepPlan struct {
 // assignment, and already-cached keys are dropped), then schedules each
 // node's derivation. Nodes are planned in (height, lexicographic) order,
 // so the plan is deterministic for a given cache state, and candidate
-// ties break the same way the per-miss coarsenIndex breaks them: fewest
-// buckets first, then lexicographically smallest vector, with recorded
-// sources preferred over same-cost planned predictions (their counts are
-// actual, not estimates).
+// ties break independently of cache-fill order: fewest buckets first,
+// then recorded sources over same-cost planned predictions (their counts
+// are actual, not estimates), then the lexicographically smallest vector.
 func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 	st := s.st
 	byVec := map[string]int{}

@@ -12,11 +12,14 @@ import (
 // This file executes the derivation DAGs plan.go builds: frontiers run in
 // ascending height order, each frontier evaluated as one batch on the
 // problem's worker budget, every non-root node coarsening from its
-// parent's result through a pooled bucket.Arena. The executor's output is
-// byte-identical to materializing each node through the per-node
-// Bucketize path — planning changes which source each derivation uses and
-// when, never what it produces (bucket.Coarsen's contract: any
-// component-wise finer source yields the identical bucketization).
+// parent's result through a pooled bucket.Arena. It is the only place the
+// encoded path builds a bucketization: search frontiers arrive as
+// multi-node sweeps, a lone Bucketize miss as a one-node sweep. The
+// output is byte-identical to the reference string scan
+// (bucket.FromGeneralization) at every node — planning changes which
+// source each derivation uses and when, never what it produces
+// (bucket.Coarsen's contract: any component-wise finer source yields the
+// identical bucketization).
 
 // subsetNode pairs a QI-dimension subset with a node of its sub-lattice —
 // the unit of work a sweep materializes (full-lattice sweeps use the
@@ -42,8 +45,9 @@ type sweepCounters struct {
 // ActualBuckets measures the planner's cost model: the closer the ratio
 // is to 1, the better its parent choices were.
 type SweepStats struct {
-	// Sweeps counts planned sweeps executed (one per non-empty frontier
-	// batch handed to the planner).
+	// Sweeps counts planned sweeps executed: one per non-empty frontier
+	// batch handed to the planner, and one per Bucketize cache miss, which
+	// runs as a one-node sweep.
 	Sweeps uint64
 	// PlannedNodes counts DAG nodes across all sweeps.
 	PlannedNodes uint64
@@ -77,39 +81,45 @@ func (p *Problem) SweepStats() SweepStats {
 	}
 }
 
-// planned reports whether sweeps on this snapshot run through the
-// planner: it needs the encoded substrate and is on unless opted out.
-func (s *Snapshot) planned() bool {
-	return s.st.enc != nil && !s.p.opts.NoPlannedSweeps
-}
-
 // prefetch plans and materializes one batch of units against the pinned
 // version's cache. It is the Snapshot side of the lattice searches'
-// frontier hand-off.
+// frontier hand-off; every bucketization it builds counts as one cache
+// miss, so a prefetched search reports the same misses as one whose
+// predicates missed node by node.
 func (s *Snapshot) prefetch(units []subsetNode) error {
+	built, err := s.sweep(units)
+	s.st.cache.countMisses(built)
+	return err
+}
+
+// sweep plans and runs one batch of units and reports how many
+// bucketizations it built (units already cached, or whose level vector is
+// already materialized, build nothing).
+func (s *Snapshot) sweep(units []subsetNode) (int, error) {
 	if len(units) == 0 {
-		return nil
+		return 0, nil
 	}
 	pl, err := s.buildPlan(units)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	return s.runPlan(pl)
 }
 
-// runPlan executes a derivation DAG frontier by frontier. Heights run in
-// ascending order, so every parent's result exists before its children
-// derive from it; within a frontier, nodes are independent and evaluate
-// as one parallel batch.
-func (s *Snapshot) runPlan(pl *sweepPlan) error {
+// runPlan executes a derivation DAG frontier by frontier and reports how
+// many bucketizations it built. Heights run in ascending order, so every
+// parent's result exists before its children derive from it; within a
+// frontier, nodes are independent and evaluate as one parallel batch.
+func (s *Snapshot) runPlan(pl *sweepPlan) (int, error) {
 	if len(pl.nodes) == 0 {
-		return nil
+		return 0, nil
 	}
 	st := s.st
 	ctr := &s.p.sweepCtr
 	ctr.sweeps.Add(1)
 	ctr.planned.Add(uint64(len(pl.nodes)))
 	results := make([]*bucket.Bucketization, len(pl.nodes))
+	var built atomic.Int64
 	for _, frontier := range pl.frontiers {
 		err := parallel.ForEach(s.p.opts.Workers, len(frontier), func(i int) error {
 			idx := frontier[i]
@@ -142,10 +152,7 @@ func (s *Snapshot) runPlan(pl *sweepPlan) error {
 				if err != nil {
 					return err
 				}
-				// A planned materialization counts as a cache miss, so the
-				// planned and per-node paths report the same number of
-				// misses (= materializations).
-				st.cache.countMiss()
+				built.Add(1)
 				ctr.predicted.Add(uint64(n.predicted))
 				ctr.actual.Add(uint64(len(bz.Buckets)))
 			}
@@ -157,10 +164,10 @@ func (s *Snapshot) runPlan(pl *sweepPlan) error {
 			return nil
 		})
 		if err != nil {
-			return err
+			return int(built.Load()), err
 		}
 	}
-	return nil
+	return int(built.Load()), nil
 }
 
 // identitySubset is the all-dimensions subset full-lattice sweeps use.
@@ -173,8 +180,11 @@ func identitySubset(n int) []int {
 }
 
 // nodePrefetch adapts the planner to the full-node searches' frontier
-// hand-off.
+// hand-off; nil (no prefetch) on the string path, which has no planner.
 func (s *Snapshot) nodePrefetch() lattice.Prefetch {
+	if s.st.enc == nil {
+		return nil
+	}
 	id := identitySubset(len(s.p.QI))
 	return func(nodes []lattice.Node) error {
 		units := make([]subsetNode, len(nodes))
@@ -187,8 +197,11 @@ func (s *Snapshot) nodePrefetch() lattice.Prefetch {
 
 // subsetPrefetch adapts the planner to Incognito's layer hand-off: one
 // batch spans nodes of several subset lattices, all mapped into the full
-// level-vector space and planned as one DAG.
+// level-vector space and planned as one DAG. Nil on the string path.
 func (s *Snapshot) subsetPrefetch() lattice.SubsetPrefetch {
+	if s.st.enc == nil {
+		return nil
+	}
 	return func(subsets [][]int, nodes []lattice.Node) error {
 		units := make([]subsetNode, len(nodes))
 		for i := range nodes {
@@ -202,23 +215,21 @@ func (s *Snapshot) subsetPrefetch() lattice.SubsetPrefetch {
 // nodes in one planned sweep: the whole set is scheduled as a derivation
 // DAG (base scans only at its roots, every other node coarsened from its
 // cheapest parent) and executed level by level on the problem's worker
-// budget. Afterwards Bucketize on any of the nodes is a cache hit. On a
-// problem without the planner (legacy path or NoPlannedSweeps) it simply
-// materializes the nodes one by one — the resulting cache contents are
-// identical either way.
+// budget. Afterwards Bucketize on any of the nodes is a cache hit. On the
+// string path it simply bucketizes the nodes one by one.
 func (s *Snapshot) MaterializeNodes(nodes []lattice.Node) error {
 	for _, n := range nodes {
 		if !s.p.space.Contains(n) {
 			return fmt.Errorf("anonymize: node %v outside lattice %v", n, s.p.space.Dims())
 		}
 	}
-	if !s.planned() {
-		for _, n := range nodes {
-			if _, err := s.Bucketize(n); err != nil {
-				return err
-			}
-		}
-		return nil
+	if prefetch := s.nodePrefetch(); prefetch != nil {
+		return prefetch(nodes)
 	}
-	return s.nodePrefetch()(nodes)
+	for _, n := range nodes {
+		if _, err := s.Bucketize(n); err != nil {
+			return err
+		}
+	}
+	return nil
 }

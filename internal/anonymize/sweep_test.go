@@ -8,17 +8,18 @@ import (
 	"testing"
 
 	"ckprivacy/internal/bucket"
-	"ckprivacy/internal/core"
+	"ckprivacy/internal/lattice"
+	"ckprivacy/internal/privacy"
 	"ckprivacy/internal/table"
 )
 
 // Randomized full-sweep parity: a planned sweep (one derivation DAG,
 // frontier batches, pooled arenas) must produce byte-identical results to
-// the per-node greedy path and the legacy string path — same search
-// nodes and stats, same bucketizations, same disclosure values — at
-// every worker count, and again after an append patches the encoded
-// substrate between two sweeps (the planner must replan against the
-// patched cache, not reuse stale sources).
+// the string-scan oracle — same search nodes and stats, same
+// bucketizations, same disclosure values — at every worker count, and
+// again after an append patches the encoded substrate between two sweeps
+// (the planner must replan against the patched cache, not reuse stale
+// sources).
 
 // cloneTable deep-copies a table so each problem under comparison owns
 // its rows — Append mutates the problem's table in place.
@@ -82,139 +83,86 @@ func TestPlannedSweepParity(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		tab, hs, qi := randomProblemCase(rng)
 		extra := randomRows(rng, tab.Schema, 5+rng.Intn(20))
+		grown := cloneTable(tab)
+		for _, r := range extra {
+			grown.MustAppend(r)
+		}
+		before, after := newOracle(t, tab, hs, qi), newOracle(t, grown, hs, qi)
 		c := []float64{0.4, 0.6, 0.8}[rng.Intn(3)]
 		k := 1 + rng.Intn(2)
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("case %d (c=%v k=%d workers=%d)", i, c, k, workers)
-
-			po := DefaultOptions()
-			po.Workers = workers
-			planned, err := NewProblemWithOptions(cloneTable(tab), hs, qi, po)
+			planned, err := NewProblemWithOptions(cloneTable(tab), hs, qi, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s: planned problem: %v", label, err)
 			}
-			po.NoPlannedSweeps = true
-			pernode, err := NewProblemWithOptions(cloneTable(tab), hs, qi, po)
-			if err != nil {
-				t.Fatalf("%s: per-node problem: %v", label, err)
-			}
-			legacy, err := NewProblem(cloneTable(tab), hs, qi, WithWorkers(workers), WithLegacyBucketize())
-			if err != nil {
-				t.Fatalf("%s: legacy problem: %v", label, err)
-			}
-			if !planned.Encoding().Enabled || !pernode.Encoding().Enabled {
+			if !planned.Encoding().Enabled {
 				t.Fatalf("%s: encoded path did not enable", label)
 			}
 
-			compareSweep(t, label, planned, pernode, legacy, c, k)
-
-			// Append the same rows to all three problems and sweep again:
-			// the planner must replan against the patched cache and stay
-			// byte-identical.
-			for _, p := range []*Problem{planned, pernode, legacy} {
-				if _, err := p.Append(extra); err != nil {
-					t.Fatalf("%s: append: %v", label, err)
-				}
+			compareSweep(t, label, planned, before, c, k)
+			// Append and sweep again: the planner must replan against the
+			// patched cache and stay byte-identical.
+			if _, err := planned.Append(extra); err != nil {
+				t.Fatalf("%s: append: %v", label, err)
 			}
-			compareSweep(t, label+" after append", planned, pernode, legacy, c, k)
+			compareSweep(t, label+" after append", planned, after, c, k)
 
-			// The planned problem really planned, and its per-node twin
-			// really did not.
 			if ss := planned.SweepStats(); ss.Sweeps == 0 || ss.PlannedNodes == 0 {
 				t.Fatalf("%s: planner never ran: %+v", label, ss)
-			}
-			if ss := pernode.SweepStats(); ss.Sweeps != 0 {
-				t.Fatalf("%s: NoPlannedSweeps problem still planned: %+v", label, ss)
 			}
 		}
 	}
 }
 
 // compareSweep runs a full-lattice planned sweep plus all three searches
-// and asserts the three problems agree on everything observable.
-func compareSweep(t *testing.T, label string, planned, pernode, legacy *Problem, c float64, k int) {
+// and asserts the problem agrees with the oracle on everything
+// observable.
+func compareSweep(t *testing.T, label string, p *Problem, o *oracle, c float64, k int) {
 	t.Helper()
-	snap := planned.Snapshot()
-	nodes := planned.Space().All()
-	if err := snap.MaterializeNodes(nodes); err != nil {
+	snap := p.Snapshot()
+	if err := snap.MaterializeNodes(p.Space().All()); err != nil {
 		t.Fatalf("%s: planned sweep: %v", label, err)
 	}
-	for _, node := range nodes {
-		pb, err := snap.Bucketize(node)
-		if err != nil {
-			t.Fatalf("%s: planned bucketize %v: %v", label, node, err)
-		}
-		nb, err := pernode.Bucketize(node)
-		if err != nil {
-			t.Fatalf("%s: per-node bucketize %v: %v", label, node, err)
-		}
-		assertSameBucketization(t, fmt.Sprintf("%s node %v", label, node), pb, nb)
-		lb, err := legacy.Bucketize(node)
-		if err != nil {
-			t.Fatalf("%s: legacy bucketize %v: %v", label, node, err)
-		}
-		pd, err := core.MaxDisclosure(pb, k)
-		if err != nil {
-			t.Fatalf("%s: planned disclosure %v: %v", label, node, err)
-		}
-		ld, err := core.MaxDisclosure(lb, k)
-		if err != nil {
-			t.Fatalf("%s: legacy disclosure %v: %v", label, node, err)
-		}
-		if pd != ld {
-			t.Fatalf("%s: disclosure at %v: planned %v, legacy %v", label, node, pd, ld)
-		}
-	}
+	requireOracleBucketizations(t, label, snap, o, k)
+	requireOracleSearches(t, label, p, o, privacy.CKSafety{C: c, K: k, Engine: p.Engine()})
+}
 
-	pn, ps, err := planned.MinimalSafe(planned.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: planned MinimalSafe: %v", label, err)
+// TestMissIsOneNodeSweep pins the cache-miss path: a Bucketize miss on
+// the encoded path runs as a one-node planned sweep (base scan first,
+// then coarsened from the cheapest recorded source), counts exactly one
+// cache miss, and a repeat is a plain hit that plans nothing.
+func TestMissIsOneNodeSweep(t *testing.T) {
+	p := hospital(t)
+	if _, err := p.Bucketize(lattice.Node{0, 0, 0}); err != nil {
+		t.Fatal(err)
 	}
-	nn, ns, err := pernode.MinimalSafe(pernode.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: per-node MinimalSafe: %v", label, err)
+	if ss, cs := p.SweepStats(), p.CacheStats(); ss.Sweeps != 1 || ss.PlannedNodes != 1 || ss.BaseScans != 1 ||
+		cs.Misses != 1 || cs.Hits != 0 {
+		t.Fatalf("first miss: sweep %+v, cache %+v", ss, cs)
 	}
-	ln, ls, err := legacy.MinimalSafe(legacy.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: legacy MinimalSafe: %v", label, err)
+	if _, err := p.Bucketize(lattice.Node{1, 1, 0}); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pn, nn) || ps != ns || !reflect.DeepEqual(pn, ln) || ps != ls {
-		t.Fatalf("%s: MinimalSafe mismatch: planned %v %+v, per-node %v %+v, legacy %v %+v",
-			label, pn, ps, nn, ns, ln, ls)
+	if ss, cs := p.SweepStats(), p.CacheStats(); ss.Sweeps != 2 || ss.Coarsened != 1 || ss.BaseScans != 1 ||
+		cs.Misses != 2 || cs.Hits != 0 {
+		t.Fatalf("second miss: sweep %+v, cache %+v", ss, cs)
 	}
-
-	pn, ps, err = planned.MinimalSafeIncognito(planned.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: planned Incognito: %v", label, err)
+	if _, err := p.Bucketize(lattice.Node{1, 1, 0}); err != nil {
+		t.Fatal(err)
 	}
-	nn, ns, err = pernode.MinimalSafeIncognito(pernode.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: per-node Incognito: %v", label, err)
+	if ss, cs := p.SweepStats(), p.CacheStats(); ss.Sweeps != 2 || cs.Misses != 2 || cs.Hits != 1 {
+		t.Fatalf("repeat: sweep %+v, cache %+v", ss, cs)
 	}
-	ln, ls, err = legacy.MinimalSafeIncognito(legacy.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: legacy Incognito: %v", label, err)
+	// A subset request inducing an already-materialized level vector is a
+	// cache miss served by reuse: one miss, no new bucketization.
+	if _, err := p.Snapshot().BucketizeSubset([]int{0, 1, 2}, lattice.Node{2, 2, 1}); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(pn, nn) || ps != ns || !reflect.DeepEqual(pn, ln) || ps != ls {
-		t.Fatalf("%s: Incognito mismatch: planned %v %+v, per-node %v %+v, legacy %v %+v",
-			label, pn, ps, nn, ns, ln, ls)
+	if _, err := p.Snapshot().BucketizeSubset([]int{0}, lattice.Node{2}); err != nil {
+		t.Fatal(err)
 	}
-
-	pc, pok, pcs, err := planned.ChainSearch(planned.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: planned ChainSearch: %v", label, err)
-	}
-	nc, nok, ncs, err := pernode.ChainSearch(pernode.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: per-node ChainSearch: %v", label, err)
-	}
-	lc, lok, lcs, err := legacy.ChainSearch(legacy.CKSafety(c, k))
-	if err != nil {
-		t.Fatalf("%s: legacy ChainSearch: %v", label, err)
-	}
-	if pok != nok || pok != lok || !reflect.DeepEqual(pc, nc) || !reflect.DeepEqual(pc, lc) ||
-		pcs != ncs || pcs != lcs {
-		t.Fatalf("%s: ChainSearch mismatch: planned %v/%v %+v, per-node %v/%v %+v, legacy %v/%v %+v",
-			label, pc, pok, pcs, nc, nok, ncs, lc, lok, lcs)
+	if ss, cs := p.SweepStats(), p.CacheStats(); ss.Reused != 1 || cs.Misses != 4 {
+		t.Fatalf("reuse: sweep %+v, cache %+v", ss, cs)
 	}
 }

@@ -7,19 +7,24 @@ import (
 	"ckprivacy/internal/parallel"
 )
 
-// This file holds the batch forms of the level-wise searches: identical to
-// the parallel searches in parallel.go — which are thin nil-prefetch
-// wrappers over these — except that each frontier (one lattice level, one
-// Incognito layer, one round of chain probes) is handed to a Prefetch
-// callback before any predicate runs. The callback is how a search hands
-// its whole frontier to the anonymize sweep planner at once: the planner
-// materializes every node of the batch along a derivation DAG, and the
-// predicates then evaluate against a warm cache. Prefetching is purely a
-// cache warm-up: node sets, node order and Stats are byte-identical with
-// or without it, at every worker count (the planner's results are
-// byte-identical to per-node materialization, and pruning marks only ever
-// point strictly upward, so nothing a prefetch computes can change what a
-// level decides).
+// This file holds the batch forms of the searches — the ones production
+// code runs. Each is the level-wise counterpart of a serial search in
+// search.go or incognito.go, which stay as the documented test oracles.
+// Two things make the batch forms exact:
+//
+//   - Every pruning mark (markAncestors) points strictly upward in the
+//     lattice, so within one height level no node's status can influence
+//     another's. A frontier (one lattice level, one Incognito layer, one
+//     round of chain probes) can therefore be evaluated on up to `workers`
+//     goroutines, with monotone pruning applied as a barrier before the
+//     next one. Node sets, node order and Stats equal the serial search's.
+//   - Each frontier is handed to a Prefetch callback before any predicate
+//     runs. The callback is how a search hands its whole frontier to the
+//     anonymize sweep planner at once: the planner materializes every node
+//     of the batch along a derivation DAG, and the predicates then evaluate
+//     against a warm cache. Prefetching is purely a cache warm-up; a nil
+//     Prefetch is a no-op and nothing a prefetch computes can change what
+//     a frontier decides.
 
 // Prefetch receives the full-lattice nodes a search is about to evaluate
 // concurrently. It may materialize them in any order or not at all; it
@@ -32,9 +37,10 @@ type Prefetch func(nodes []Node) error
 // are aligned and equal-length).
 type SubsetPrefetch func(subsets [][]int, nodes []Node) error
 
-// MinimalSatisfyingBatch is MinimalSatisfyingParallel with each level
-// offered to prefetch before evaluation. Result and Stats are identical
-// to the serial search.
+// MinimalSatisfyingBatch is MinimalSatisfying with each lattice level
+// offered to prefetch and then evaluated on up to `workers` goroutines
+// (workers <= 0 means GOMAXPROCS). The predicate must be safe for
+// concurrent calls. Result and Stats are identical to the serial search.
 func MinimalSatisfyingBatch(s Space, pred Pred, prefetch Prefetch, workers int) ([]Node, Stats, error) {
 	workers = parallel.Workers(workers)
 	var stats Stats
@@ -83,10 +89,12 @@ func MinimalSatisfyingBatch(s Space, pred Pred, prefetch Prefetch, workers int) 
 	return minimal, stats, nil
 }
 
-// IncognitoBatch is IncognitoParallel with each layer — all unpruned
-// nodes of one height across all same-size subset lattices — offered to
-// prefetch before evaluation. Result and Stats are identical to serial
-// Incognito.
+// IncognitoBatch is Incognito with each layer — all unpruned nodes of one
+// height across all same-size subset lattices — offered to prefetch and
+// then evaluated on up to `workers` goroutines. Subsets of equal size are
+// independent (the subset property only consults strictly smaller
+// subsets), so a layer is one batch. check must be safe for concurrent
+// calls. Result and Stats are identical to serial Incognito.
 func IncognitoBatch(s Space, check SubsetPred, prefetch SubsetPrefetch, workers int) ([]Node, Stats, error) {
 	workers = parallel.Workers(workers)
 	var stats Stats
@@ -193,9 +201,13 @@ func IncognitoBatch(s Space, check SubsetPred, prefetch SubsetPrefetch, workers 
 	return minimal, stats, nil
 }
 
-// BinarySearchChainBatch is BinarySearchChainParallel with each round's
-// probe nodes offered to prefetch before evaluation. The returned index
-// and Stats match BinarySearchChainParallel at the same worker count.
+// BinarySearchChainBatch generalizes BinarySearchChain to multi-section
+// search: each round offers its probe nodes to prefetch, then evaluates up
+// to `workers` evenly spaced probes of the remaining interval
+// concurrently, shrinking it by a factor of workers+1 instead of 2. With
+// workers <= 1 the probe sequence — and therefore the Stats — is exactly
+// the serial binary search's. The returned index is identical to the
+// serial search for any monotone predicate.
 func BinarySearchChainBatch(chain []Node, pred Pred, prefetch Prefetch, workers int) (int, Stats, error) {
 	workers = parallel.Workers(workers)
 	var stats Stats

@@ -20,6 +20,8 @@ type SubsetPred func(subset []int, node Node) (bool, error)
 //
 // Both properties hold for any criterion that is monotone under bucket
 // merging — k-anonymity, ℓ-diversity and, by Theorem 14, (c,k)-safety.
+// Incognito is the serial reference for IncognitoBatch, which production
+// searches run; tests use it as the oracle.
 func Incognito(s Space, check SubsetPred) ([]Node, Stats, error) {
 	var stats Stats
 	m := s.NumDims()

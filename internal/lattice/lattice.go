@@ -202,7 +202,7 @@ func (s Space) All() []Node {
 
 // Levels groups All() by height: Levels()[h] holds the height-h nodes in
 // lexicographic order, so iterating levels in order and each level in slice
-// order visits nodes exactly as All() does. The level-wise parallel
+// order visits nodes exactly as All() does. The level-wise batch
 // searches evaluate one level concurrently and use the next level boundary
 // as their pruning barrier.
 func (s Space) Levels() [][]Node {

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-// sameNodeSeq requires equality including order — the parallel searches
+// sameNodeSeq requires equality including order — the batch searches
 // promise byte-identical output, not just set equality.
 func sameNodeSeq(a, b []Node) bool {
 	if len(a) != len(b) {
@@ -21,9 +21,9 @@ func sameNodeSeq(a, b []Node) bool {
 	return true
 }
 
-// TestMinimalSatisfyingParallelEquivalence is the parallel-vs-serial
+// TestMinimalSatisfyingParallelEquivalence is the batch-vs-serial
 // property test: for random spaces, random monotone predicates and worker
-// counts 1..8, the parallel search must return the identical node sequence
+// counts 1..8, the batch search (nil prefetch) must return the identical node sequence
 // and identical Stats (in particular, Evaluated never exceeds — in fact
 // equals — the serial count, including at workers=1).
 func TestMinimalSatisfyingParallelEquivalence(t *testing.T) {
@@ -41,7 +41,7 @@ func TestMinimalSatisfyingParallelEquivalence(t *testing.T) {
 		}
 		pred := generatorPred(gens)
 		serial, sStats, err1 := MinimalSatisfying(s, pred)
-		par, pStats, err2 := MinimalSatisfyingParallel(s, pred, workers)
+		par, pStats, err2 := MinimalSatisfyingBatch(s, pred, nil, workers)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -60,7 +60,7 @@ func TestIncognitoParallelEquivalence(t *testing.T) {
 		limit := int(lim) % 12
 		check, _ := weightedCheck(s, weights, limit)
 		serial, sStats, err1 := Incognito(s, check)
-		par, pStats, err2 := IncognitoParallel(s, check, workers)
+		par, pStats, err2 := IncognitoBatch(s, check, nil, workers)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -81,7 +81,7 @@ func TestBinarySearchChainParallelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, stats, err := BinarySearchChainParallel(chain, pred, workers)
+			idx, stats, err := BinarySearchChainBatch(chain, pred, nil, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestParallelSearchesActuallyRunConcurrently(t *testing.T) {
 		inFlight.Add(-1)
 		return false, nil
 	}
-	if _, _, err := MinimalSatisfyingParallel(s, pred, 4); err != nil {
+	if _, _, err := MinimalSatisfyingBatch(s, pred, nil, 4); err != nil {
 		t.Fatal(err)
 	}
 	if peak.Load() < 2 {
@@ -144,7 +144,7 @@ func TestParallelSearchErrorIsDeterministic(t *testing.T) {
 	}
 	wantErr := fmt.Sprintf("lattice: evaluating %v: poisoned node", bad)
 	for workers := 1; workers <= 6; workers++ {
-		_, _, err := MinimalSatisfyingParallel(s, pred, workers)
+		_, _, err := MinimalSatisfyingBatch(s, pred, nil, workers)
 		if err == nil || err.Error() != wantErr {
 			t.Errorf("workers=%d: err = %v, want %q", workers, err, wantErr)
 		}

@@ -19,7 +19,9 @@ type Stats struct {
 // MinimalSatisfying returns every ⪯-minimal node satisfying a monotone
 // predicate, evaluating bottom-up and skipping nodes already implied
 // satisfied by a lower node. The returned nodes are in (height,
-// lexicographic) order.
+// lexicographic) order. It is the serial reference for
+// MinimalSatisfyingBatch, which production searches run; tests use it as
+// the oracle.
 func MinimalSatisfying(s Space, pred Pred) ([]Node, Stats, error) {
 	var stats Stats
 	satisfied := make(map[string]bool, s.Size())
@@ -111,7 +113,9 @@ func (s Space) Chain() []Node {
 // chain (Theorem 14 + the chain being ⪯-increasing). It returns -1 when no
 // node satisfies. The number of evaluations is O(log |chain|) — the
 // paper's §3.4 observation that a safe bucketization can be found in time
-// logarithmic in the lattice height.
+// logarithmic in the lattice height. It is the serial reference for
+// BinarySearchChainBatch, which production searches run; tests use it as
+// the oracle.
 func BinarySearchChain(chain []Node, pred Pred) (int, Stats, error) {
 	var stats Stats
 	lo, hi := 0, len(chain) // invariant: answer in [lo, hi]; hi means none

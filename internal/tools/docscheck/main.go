@@ -3,8 +3,8 @@
 // and docs/*.md resolves to an existing file (and every same-file #anchor
 // to a real heading), and (2) asserts exported-symbol doc-comment coverage
 // for the public ckprivacy package, internal/server, internal/store,
-// internal/replica, internal/anonymize, internal/bucket and the ckvet
-// suite — every exported
+// internal/replica, internal/anonymize, internal/bucket, internal/lattice
+// and the ckvet suite — every exported
 // type, function, method, constant and variable must carry a doc comment,
 // so pkg.go.dev never renders a bare name. It exits non-zero listing every
 // offender.
@@ -34,6 +34,10 @@ func main() {
 	// boundaries on documented contracts; keep those contracts written.
 	problems = append(problems, checkDocComments("internal/anonymize", "anonymize")...)
 	problems = append(problems, checkDocComments("internal/bucket", "bucket")...)
+	// The lattice searches' batch forms and the serial oracles they are
+	// tested against share documented contracts (identical nodes and
+	// Stats); keep them written down.
+	problems = append(problems, checkDocComments("internal/lattice", "lattice")...)
 	problems = append(problems, checkDocComments("docs", "docs")...)
 	// The ckvet suite documents the invariants it enforces; a bare
 	// exported name there would leave an analyzer without its contract.

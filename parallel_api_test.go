@@ -20,8 +20,8 @@ func TestPublicParallelAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ckprivacy.NewProblem(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI(),
-		ckprivacy.WithWorkers(0))
+	par, err := ckprivacy.NewProblemWithOptions(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI(),
+		ckprivacy.ProblemOptions{Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
