@@ -35,14 +35,17 @@
 //	)
 //	d, _ := ckprivacy.MaxDisclosure(bz, 1) // 2/3
 //
-// The Engine behind MaxDisclosure memoizes MINIMIZE1 tables across calls
-// (the paper's §3.3.3 incremental-recomputation remark) in a sharded cache
-// keyed by a 64-bit fingerprint of (histogram, k), byte-bounded
-// (EngineConfig.MemoMaxBytes, default 64 MiB) with CLOCK second-chance
-// eviction and per-shard in-flight deduplication, so a long-lived engine
-// serving many datasets plateaus in memory while racing workers compute
-// each missing entry exactly once. Eviction only ever costs
-// recomputation: disclosure values are byte-identical at every capacity.
+// The Engine behind MaxDisclosure memoizes MINIMIZE1 across calls (the
+// paper's §3.3.3 incremental-recomputation remark) as one series per
+// bucket histogram — the values for every atom count up to the largest
+// requested — fetched once per bucket per call before a flat MINIMIZE2
+// pass. The memo is a sharded cache keyed by a 64-bit fingerprint of the
+// histogram, byte-bounded (EngineConfig.MemoMaxBytes, default 64 MiB) with
+// CLOCK second-chance eviction and per-shard in-flight deduplication, so a
+// long-lived engine serving many datasets plateaus in memory while racing
+// workers compute each missing series exactly once. Eviction only ever
+// costs recomputation: disclosure values are byte-identical at every
+// capacity.
 //
 // Everything bucketization-heavy computes on a columnar substrate: a
 // table is dictionary-encoded once (EncodeTable — per-attribute value

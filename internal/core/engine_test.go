@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,29 +17,30 @@ import (
 // ---------------------------------------------------------------------------
 
 // TestFingerprintDistinguishesKeys checks the pairs most likely to alias
-// under a sloppy hash: concatenation boundaries, length changes, and the
-// histogram/atom-count split.
+// under a sloppy hash: concatenation boundaries, length changes, order,
+// zero counts and byte-boundary values.
 func TestFingerprintDistinguishesKeys(t *testing.T) {
 	type key struct {
 		hist []int
-		j    int
 	}
 	cases := []key{
-		{[]int{1, 2}, 3},
-		{[]int{12}, 3},
-		{[]int{1}, 23},
-		{[]int{1, 2, 3}, 0},
-		{[]int{1, 2}, 0},
-		{[]int{3, 2, 1}, 0},
-		{[]int{1, 2, 3}, 1},
-		{[]int{256}, 1},
-		{[]int{1}, 256},
-		{nil, 1},
-		{nil, 0},
+		{[]int{1, 2}},
+		{[]int{12}},
+		{[]int{1, 23}},
+		{[]int{12, 3}},
+		{[]int{1, 2, 3}},
+		{[]int{3, 2, 1}},
+		{[]int{1, 2, 3, 0}},
+		{[]int{0}},
+		{[]int{0, 0}},
+		{[]int{256}},
+		{[]int{1, 0}},
+		{[]int{1}},
+		{nil},
 	}
 	seen := make(map[uint64]key)
 	for _, c := range cases {
-		fp := fingerprint(c.hist, c.j)
+		fp := fingerprint(c.hist)
 		if prev, ok := seen[fp]; ok {
 			t.Errorf("fingerprint collision between %+v and %+v", prev, c)
 		}
@@ -49,13 +49,13 @@ func TestFingerprintDistinguishesKeys(t *testing.T) {
 }
 
 // stringMemo replicates the pre-sharding engine memo: a string-signature-
-// keyed map of per-j MINIMIZE1 entries. It is the reference the bounded,
+// keyed map of MINIMIZE1 series per maxJ. It is the reference the bounded,
 // fingerprint-keyed memo must agree with byte-for-byte.
 type stringMemo struct {
-	m map[string]map[int]m1Entry
+	m map[string]map[int][]float64
 }
 
-func (sm *stringMemo) m1(hist []int, j int) m1Entry {
+func (sm *stringMemo) series(hist []int, maxJ int) []float64 {
 	var sb strings.Builder
 	for i, c := range hist {
 		if i > 0 {
@@ -64,36 +64,52 @@ func (sm *stringMemo) m1(hist []int, j int) m1Entry {
 		sb.WriteString(strconv.Itoa(c))
 	}
 	sig := sb.String()
-	if e, ok := sm.m[sig][j]; ok {
-		return e
+	if s, ok := sm.m[sig][maxJ]; ok {
+		return s
 	}
-	e := m1Compute(hist, j)
+	s := make([]float64, maxJ+1)
+	for j := range s {
+		s[j] = m1Compute(hist, j).val
+	}
 	if sm.m[sig] == nil {
-		sm.m[sig] = make(map[int]m1Entry)
+		sm.m[sig] = make(map[int][]float64)
 	}
-	sm.m[sig][j] = e
-	return e
+	sm.m[sig][maxJ] = s
+	return s
 }
 
 // TestMemoMatchesStringKeyedReference drives the corpus of random
 // histograms through the fingerprint-keyed memo and the old string-keyed
-// reference, asserting bit-identical values and identical compositions.
+// reference, asserting bit-identical series of identical length — whether
+// the memo answers from a series of exactly that length, a prefix of a
+// longer one, or a fresh computation.
 func TestMemoMatchesStringKeyedReference(t *testing.T) {
 	e := NewEngine()
-	ref := &stringMemo{m: make(map[string]map[int]m1Entry)}
+	ref := &stringMemo{m: make(map[string]map[int][]float64)}
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 2000; iter++ {
 		hist := randomHistogram(rng, 1+rng.Intn(6), 1+rng.Intn(9))
-		j := rng.Intn(8)
-		got := e.m1(hist, j)
-		want := ref.m1(hist, j)
-		if math.Float64bits(got.val) != math.Float64bits(want.val) {
-			t.Fatalf("m1(%v, %d).val = %v, reference %v", hist, j, got.val, want.val)
-		}
-		if !reflect.DeepEqual(got.comp, want.comp) {
-			t.Fatalf("m1(%v, %d).comp = %v, reference %v", hist, j, got.comp, want.comp)
+		maxJ := rng.Intn(8)
+		got := e.series(hist, maxJ)
+		want := ref.series(hist, maxJ)
+		if !bitsEqual(got, want) {
+			t.Fatalf("series(%v, %d) = %v, reference %v", hist, maxJ, got, want)
 		}
 	}
+}
+
+// bitsEqual reports whether two float slices have equal length and
+// bit-identical elements.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // randomHistogram returns vals counts in decreasing order with each count
@@ -162,24 +178,26 @@ func TestDisclosureIdenticalAcrossCapacities(t *testing.T) {
 func TestCollisionReturnsCorrectValue(t *testing.T) {
 	e := NewEngine()
 	hist := []int{3, 2, 1}
-	j := 2
-	fp := fingerprint(hist, j)
+	maxJ := 2
+	fp := fingerprint(hist)
 	s := &e.shards[fp&e.shardMask]
-	bogus := m1Entry{val: -42, comp: []int{9}}
+	// A resident entry with a different key under the same fingerprint.
+	bogus := &memoEntry{fp: fp, hist: []int{9, 9, 9}}
 	s.mu.Lock()
-	e.insertLocked(s, fp, []int{9, 9, 9}, 5, bogus) // different key, same fp
+	s.entries[fp] = bogus
+	e.storeLocked(s, bogus, []float64{-42, -42, -42, -42, -42, -42})
 	s.mu.Unlock()
 
-	got := e.m1(hist, j)
-	want := m1Compute(hist, j)
-	if math.Float64bits(got.val) != math.Float64bits(want.val) {
-		t.Fatalf("collision lookup returned %v, want %v", got.val, want.val)
+	got := e.series(hist, maxJ)
+	want := m1Series(hist, maxJ)
+	if !bitsEqual(got, want) {
+		t.Fatalf("collision lookup returned %v, want %v", got, want)
 	}
 	// The resident collider must be untouched (no thrash).
 	s.mu.Lock()
 	resident := s.entries[fp]
 	s.mu.Unlock()
-	if resident == nil || resident.val.val != -42 {
+	if resident == nil || resident.val[0] != -42 {
 		t.Error("collision displaced the resident entry")
 	}
 }
@@ -199,7 +217,7 @@ func TestInflightDedupCountsOneMiss(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			<-start
-			vals[w] = e.m1(hist, 3).val
+			vals[w] = e.series(hist, 3)[3]
 		}(w)
 	}
 	close(start)
@@ -218,6 +236,48 @@ func TestInflightDedupCountsOneMiss(t *testing.T) {
 	}
 }
 
+// TestConcurrentExtensionsAgree races lookups of one histogram at
+// different series lengths, so shorter requests are answered by prefixes
+// of longer series while those are still being computed and replaced. Every
+// lookup must return the series a fresh table gives for its length, and
+// the memo must end with the longest one resident.
+func TestConcurrentExtensionsAgree(t *testing.T) {
+	const workers, lengths = 48, 9
+	for round := 0; round < 20; round++ {
+		e := NewEngine()
+		hist := []int{6, 5, 3, 3, 2, 1}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		got := make([][]float64, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				got[w] = e.series(hist, w%lengths)
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		for w, g := range got {
+			if want := m1Series(hist, w%lengths); !bitsEqual(g, want) {
+				t.Fatalf("round %d worker %d: series(%d) = %v, want %v", round, w, w%lengths, g, want)
+			}
+		}
+		st := e.Stats()
+		if st.Hits+st.Misses != workers || st.Misses == 0 || st.Misses > lengths {
+			t.Fatalf("round %d: hits %d + misses %d, want %d lookups with 1..%d misses", round, st.Hits, st.Misses, workers, lengths)
+		}
+		if st.Entries != 1 || len(e.series(hist, 0)) != 1 {
+			t.Fatalf("round %d: %d entries resident", round, st.Entries)
+		}
+		fp := fingerprint(hist)
+		if me := e.shards[fp&e.shardMask].entries[fp]; me == nil || len(me.val) != lengths {
+			t.Fatalf("round %d: resident series is not the longest requested", round)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Capacity bound and churn
 // ---------------------------------------------------------------------------
@@ -232,7 +292,7 @@ func TestMemoChurnPlateau(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 5000; iter++ {
 		hist := randomHistogram(rng, 1+rng.Intn(8), 1+rng.Intn(50))
-		e.m1(hist, rng.Intn(6))
+		e.series(hist, rng.Intn(6))
 		if st := e.Stats(); st.Bytes > capBytes {
 			t.Fatalf("iter %d: memo bytes %d exceed the %d cap", iter, st.Bytes, capBytes)
 		}
@@ -254,7 +314,7 @@ func TestResetClearsEverything(t *testing.T) {
 	e := NewEngineWithConfig(EngineConfig{MemoMaxBytes: 4 << 10, Shards: 2})
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 500; i++ {
-		e.m1(randomHistogram(rng, 1+rng.Intn(5), 10), rng.Intn(5))
+		e.series(randomHistogram(rng, 1+rng.Intn(5), 10), rng.Intn(5))
 	}
 	e.Reset()
 	st := e.Stats()
@@ -262,8 +322,8 @@ func TestResetClearsEverything(t *testing.T) {
 		t.Errorf("Reset left state behind: %+v", st)
 	}
 	// The engine must keep working after a reset.
-	if got := e.m1([]int{2, 1}, 1); got.val <= 0 || got.val > 1 {
-		t.Errorf("post-reset m1 = %v", got.val)
+	if got := e.series([]int{2, 1}, 1)[1]; got <= 0 || got > 1 {
+		t.Errorf("post-reset series value = %v", got)
 	}
 }
 
@@ -276,10 +336,10 @@ func TestOversizedEntryNotCached(t *testing.T) {
 	for i := range hist {
 		hist[i] = 64 - i
 	}
-	got := e.m1(hist, 2)
-	want := m1Compute(hist, 2)
-	if math.Float64bits(got.val) != math.Float64bits(want.val) {
-		t.Fatalf("oversized entry computed %v, want %v", got.val, want.val)
+	got := e.series(hist, 2)
+	want := m1Series(hist, 2)
+	if !bitsEqual(got, want) {
+		t.Fatalf("oversized entry computed %v, want %v", got, want)
 	}
 	if n := e.CacheSize(); n != 0 {
 		t.Errorf("oversized entry was cached (%d entries)", n)
@@ -297,15 +357,15 @@ func TestOversizedEntryNotCached(t *testing.T) {
 func BenchmarkMemoHit(b *testing.B) {
 	e := NewEngine()
 	hist := []int{5, 4, 3, 2, 1}
-	e.m1(hist, 4)
+	e.series(hist, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkEntry = e.m1(hist, 4)
+		sinkSeries = e.series(hist, 4)
 	}
 }
 
-var sinkEntry m1Entry
+var sinkSeries []float64
 
 // BenchmarkMemoChurn is the bounded-memory proof for the acceptance
 // criterion: a stream of mostly-fresh histograms far larger than the cap.
@@ -322,7 +382,7 @@ func BenchmarkMemoChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkEntry = e.m1(hists[i%len(hists)], i%6)
+		sinkSeries = e.series(hists[i%len(hists)], i%6)
 	}
 	b.StopTimer()
 	st := e.Stats()
@@ -363,11 +423,11 @@ func TestPanickedComputeDoesNotPoisonShard(t *testing.T) {
 	e := NewEngine()
 	mustPanic := func() (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		e.m1([]int{2, 1}, -1) // negative j: the scratch sizing panics
+		e.series([]int{2, 1}, -1) // negative maxJ: m1Series panics
 		return false
 	}
 	if !mustPanic() {
-		t.Skip("negative j no longer panics; pick another fault injection")
+		t.Skip("negative maxJ no longer panics; pick another fault injection")
 	}
 	// Same key again: must panic again (not hang on a stale in-flight
 	// entry, not return a bogus cached value).
@@ -382,10 +442,10 @@ func TestPanickedComputeDoesNotPoisonShard(t *testing.T) {
 		t.Fatal("second lookup deadlocked: the panicked in-flight entry was not cleaned up")
 	}
 	// The shard (and the whole engine) still serves normal traffic.
-	got := e.m1([]int{2, 1}, 1)
-	want := m1Compute([]int{2, 1}, 1)
-	if math.Float64bits(got.val) != math.Float64bits(want.val) {
-		t.Errorf("post-panic m1 = %v, want %v", got.val, want.val)
+	got := e.series([]int{2, 1}, 1)
+	want := m1Series([]int{2, 1}, 1)
+	if !bitsEqual(got, want) {
+		t.Errorf("post-panic series = %v, want %v", got, want)
 	}
 	if e.CacheSize() == 0 {
 		t.Error("post-panic insert failed; shard lock likely stranded")

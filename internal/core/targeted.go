@@ -158,6 +158,11 @@ type restTables struct {
 
 func (e *Engine) buildRest(views []bucketView, k int) *restTables {
 	nb := len(views)
+	// Rows run to k+1, the length MINIMIZE2 asks for at the same k, so a
+	// profile and a disclosure check at one k share memo entries without
+	// an extension; only j <= k is read here.
+	stride := k + 2
+	series := e.seriesSlab(nil, views, k+1)
 	fwd := make([][]float64, nb+1)
 	bwd := make([][]float64, nb+1)
 	for i := range fwd {
@@ -169,10 +174,11 @@ func (e *Engine) buildRest(views []bucketView, k int) *restTables {
 		bwd[nb][h] = 1
 	}
 	for i := 0; i < nb; i++ {
+		m1 := series[i*stride : (i+1)*stride]
 		for h := 0; h <= k; h++ {
 			best := math.Inf(1)
 			for c := 0; c <= h; c++ {
-				if p := fwd[i][h-c] * e.m1(views[i].hist, c).val; p < best {
+				if p := fwd[i][h-c] * m1[c]; p < best {
 					best = p
 				}
 			}
@@ -180,10 +186,11 @@ func (e *Engine) buildRest(views []bucketView, k int) *restTables {
 		}
 	}
 	for i := nb - 1; i >= 0; i-- {
+		m1 := series[i*stride : (i+1)*stride]
 		for h := 0; h <= k; h++ {
 			best := math.Inf(1)
 			for c := 0; c <= h; c++ {
-				if p := bwd[i+1][h-c] * e.m1(views[i].hist, c).val; p < best {
+				if p := bwd[i+1][h-c] * m1[c]; p < best {
 					best = p
 				}
 			}

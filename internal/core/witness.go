@@ -45,11 +45,12 @@ func (e *Engine) Witness(bz *bucket.Bucketization, k int, opt Options, name func
 		name = strconv.Itoa
 	}
 	views := makeViews(bz)
-	rmin, sc := e.minimize2(views, k, opt)
+	sc := e.minimize2(views, k, opt)
 	defer sc.release()
+	rmin := sc.val[sc.idx(0, k, 0)]
 
-	// Walk the DP choices to recover per-bucket antecedent counts and the
-	// placement of A.
+	// Walk the DP from (0, k, unplaced), re-deriving each state's choice, to
+	// recover per-bucket antecedent counts and the placement of A.
 	type placement struct {
 		bucket int
 		cnt    int
@@ -57,12 +58,13 @@ func (e *Engine) Witness(bz *bucket.Bucketization, k int, opt Options, name func
 	}
 	var placements []placement
 	h, placed := k, false
-	for i := 0; i < len(views); i++ {
+	for i, v := range views {
 		pi := 0
 		if placed {
 			pi = 1
 		}
-		ch := sc.choiceAt(i, h, pi)
+		ratio := float64(v.n) / float64(v.top)
+		_, ch := m2state(sc.m1Row(i), sc.valRow(i+1), ratio, h, pi, opt)
 		if !ch.valid {
 			return Witness{}, fmt.Errorf("core: no witness: disclosure is unattainable under the given options")
 		}
@@ -85,7 +87,9 @@ func (e *Engine) Witness(bz *bucket.Bucketization, k int, opt Options, name func
 		if pl.hasA {
 			atoms++
 		}
-		comp := e.m1(v.hist, atoms).comp
+		// Off the hot path and only for the witness's buckets, so the
+		// composition comes straight from the DP rather than the memo.
+		comp := m1Compute(v.hist, atoms).comp
 		for person, kj := range comp {
 			if person >= len(v.b.Tuples) {
 				break

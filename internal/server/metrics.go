@@ -131,7 +131,7 @@ func (m *metrics) writeTo(w io.Writer, s *Server) {
 	fmt.Fprintln(w, "# HELP ckprivacyd_engine_memo_misses_total Disclosure-engine MINIMIZE1 memo misses.")
 	fmt.Fprintln(w, "# TYPE ckprivacyd_engine_memo_misses_total counter")
 	fmt.Fprintf(w, "ckprivacyd_engine_memo_misses_total %d\n", es.Misses)
-	fmt.Fprintln(w, "# HELP ckprivacyd_engine_memo_entries Distinct memoized (histogram, k) entries.")
+	fmt.Fprintln(w, "# HELP ckprivacyd_engine_memo_entries Distinct histograms with a memoized MINIMIZE1 series.")
 	fmt.Fprintln(w, "# TYPE ckprivacyd_engine_memo_entries gauge")
 	fmt.Fprintf(w, "ckprivacyd_engine_memo_entries %d\n", es.Entries)
 	fmt.Fprintln(w, "# HELP ckprivacyd_engine_memo_bytes Accounted resident bytes of the engine memo, by engine (shared = registered datasets, inline = client-chosen groups).")
