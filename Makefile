@@ -155,7 +155,7 @@ bench-json:
 ## fetched on demand via `go run` like the lint tools; x/perf publishes no
 ## semver tags, so the version floats unless BENCHSTAT_VERSION is pinned
 ## to a pseudo-version.
-BENCH_PATTERN ?= BenchmarkBucketize|BenchmarkEncodeTable|BenchmarkLatticeSweep|BenchmarkGridPlanned|BenchmarkAppendSmall|BenchmarkFollowerCatchup
+BENCH_PATTERN ?= BenchmarkBucketize|BenchmarkEncodeTable|BenchmarkLatticeSweep|BenchmarkBucketTuples|BenchmarkIncognitoSynth|BenchmarkGridPlanned|BenchmarkAppendSmall|BenchmarkFollowerCatchup
 BENCHSTAT_VERSION ?= latest
 BENCH_COUNT ?= 6
 

@@ -151,6 +151,43 @@ func BenchmarkLatticeSweepPlanned(b *testing.B) {
 	reportRowsPerSec(b, float64(tab.Len())*float64(nodes))
 }
 
+// BenchmarkBucketTuples measures the work bucketizations defer: after a
+// planned sweep of the 72 Adult lattice nodes (untimed), it builds every
+// bucket's row list cold with Tuples(). Scanned nodes re-scan their rows
+// once; coarsened ones merge and sort their fine buckets' lists.
+func BenchmarkBucketTuples(b *testing.B) {
+	tab := mustAdult(b, ckprivacy.AdultDefaultN)
+	tuples := 0
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		p, err := ckprivacy.NewProblem(tab, ckprivacy.AdultHierarchies(), ckprivacy.AdultQI())
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap := p.Snapshot()
+		if err := snap.MaterializeNodes(p.Space().All()); err != nil {
+			b.Fatal(err)
+		}
+		var bzs []*ckprivacy.Bucketization
+		for _, n := range p.Space().All() {
+			bz, err := snap.Bucketize(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bzs = append(bzs, bz)
+		}
+		b.StartTimer()
+		tuples = 0
+		for _, bz := range bzs {
+			for _, bk := range bz.Buckets {
+				tuples += len(bk.Tuples())
+			}
+		}
+	}
+	sinkI = tuples
+	reportRowsPerSec(b, float64(tuples))
+}
+
 // BenchmarkGridPlanned is the (c,k) policy grid on the sweep planner:
 // every cell's chain search hands each round of probes to the planner as
 // one sweep.

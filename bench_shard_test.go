@@ -51,3 +51,36 @@ func BenchmarkBucketizeSharded(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIncognitoSynth is the sanitize shape at CI size: a fresh
+// problem over a 200k-row synthetic census table, with one search worker
+// and one scan shard per CPU, finds every minimal (0.8,1)-safe
+// generalization with the Incognito search. Its cost is base scans,
+// coarsening and the planned sweep; disclosure is a small share.
+func BenchmarkIncognitoSynth(b *testing.B) {
+	cfg := synth.Config{Rows: 200_000, Seed: 1}
+	gen, err := synth.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tab, err := gen.Table()
+	if err != nil {
+		b.Fatal(err)
+	}
+	procs := runtime.NumCPU()
+	o := ckprivacy.DefaultProblemOptions()
+	o.Workers, o.ShardWorkers = procs, procs
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := ckprivacy.NewProblemWithOptions(tab, synth.Hierarchies(cfg), synth.QI(), o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes, _, err := p.MinimalSafeIncognito(ckprivacy.CKSafety{C: 0.8, K: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkI = len(nodes)
+	}
+	reportRowsPerSec(b, float64(cfg.Rows))
+}

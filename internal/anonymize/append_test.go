@@ -24,8 +24,8 @@ func requireBZIdentity(t *testing.T, want, got *bucket.Bucketization, label stri
 		if w.Key != g.Key {
 			t.Fatalf("%s: bucket %d key %q, want %q", label, i, g.Key, w.Key)
 		}
-		if !reflect.DeepEqual(w.Tuples, g.Tuples) {
-			t.Fatalf("%s: bucket %d tuples %v, want %v", label, i, g.Tuples, w.Tuples)
+		if !reflect.DeepEqual(w.Tuples(), g.Tuples()) {
+			t.Fatalf("%s: bucket %d tuples %v, want %v", label, i, g.Tuples(), w.Tuples())
 		}
 		if !reflect.DeepEqual(w.Freq(), g.Freq()) {
 			t.Fatalf("%s: bucket %d freq %v, want %v", label, i, g.Freq(), w.Freq())

@@ -155,13 +155,13 @@ func requireSameBuckets(t *testing.T, want, got *bucket.Bucketization) {
 	}
 	for i := range want.Buckets {
 		w, g := want.Buckets[i], got.Buckets[i]
-		if w.Key != g.Key || w.Signature() != g.Signature() || len(w.Tuples) != len(g.Tuples) {
+		if w.Key != g.Key || w.Signature() != g.Signature() || len(w.Tuples()) != len(g.Tuples()) {
 			t.Fatalf("bucket %d: key %q sig %q size %d, want key %q sig %q size %d",
-				i, g.Key, g.Signature(), len(g.Tuples), w.Key, w.Signature(), len(w.Tuples))
+				i, g.Key, g.Signature(), len(g.Tuples()), w.Key, w.Signature(), len(w.Tuples()))
 		}
-		for j := range w.Tuples {
-			if w.Tuples[j] != g.Tuples[j] {
-				t.Fatalf("bucket %d tuples %v, want %v", i, g.Tuples, w.Tuples)
+		for j := range w.Tuples() {
+			if w.Tuples()[j] != g.Tuples()[j] {
+				t.Fatalf("bucket %d tuples %v, want %v", i, g.Tuples(), w.Tuples())
 			}
 		}
 	}

@@ -61,8 +61,8 @@ func assertSameBucketization(t *testing.T, label string, a, b *bucket.Bucketizat
 		if x.Key != y.Key {
 			t.Fatalf("%s: bucket %d key %q vs %q", label, i, x.Key, y.Key)
 		}
-		if !reflect.DeepEqual(x.Tuples, y.Tuples) {
-			t.Fatalf("%s: bucket %d (%s) tuples %v vs %v", label, i, x.Key, x.Tuples, y.Tuples)
+		if !reflect.DeepEqual(x.Tuples(), y.Tuples()) {
+			t.Fatalf("%s: bucket %d (%s) tuples %v vs %v", label, i, x.Key, x.Tuples(), y.Tuples())
 		}
 		if !reflect.DeepEqual(x.Freq(), y.Freq()) {
 			t.Fatalf("%s: bucket %d (%s) freq %v vs %v", label, i, x.Key, x.Freq(), y.Freq())

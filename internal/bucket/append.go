@@ -18,43 +18,51 @@ import (
 // appended rows land in are rebuilt. Nothing rescans the pre-existing
 // rows, which is what makes refreshing a warm lattice node after a small
 // append cheap.
+//
+// The rebuilt and new buckets of one append share one scanRows source
+// over the grown row prefix, keyed by their lowest rows, so an append
+// never builds an old bucket's row list, and a rebuilt bucket does not
+// keep its predecessor alive: a node patched by many appends holds one
+// source per patch, not a chain of every version.
 
-// appendMerged rebuilds one touched bucket: the old bucket's tuples and
-// histogram plus one appended group's. Tuple order matches a from-scratch
-// row scan because every appended row index exceeds every old one. The
-// histogram merge is dense-to-dense when both sides carry code-space
-// counts (an old histogram shorter than scard predates the new sensitive
-// codes and holds zero of each), and falls back to merging the decoded
-// freq multisets otherwise.
-func appendMerged(old *Bucket, g *egroup, scard int, sdict *table.Dict) *Bucket {
-	tuples := make([]int, 0, len(old.Tuples)+len(g.tuples))
-	tuples = append(tuples, old.Tuples...)
-	tuples = append(tuples, g.tuples...)
+// appendMerged rebuilds one touched bucket: the old bucket's histogram
+// plus the appended group g under the same key, with its row list drawn
+// from src. Every appended row index exceeds every old one, so the old
+// bucket's lowest row stays the lowest. The histogram merge is
+// dense-to-dense when both sides carry code-space counts (an old
+// histogram shorter than scard predates the new sensitive codes and holds
+// zero of each), and falls back to merging the decoded freq multisets
+// otherwise.
+func appendMerged(old *Bucket, g *egroup, src rowSource, scard int, order []uint32, sdict *table.Dict) *Bucket {
+	low, n := old.low, old.size+g.n
+	if old.size == 0 {
+		low = g.low
+	}
 	if old.scounts != nil && g.scounts != nil && len(old.scounts) <= scard {
 		merged := make([]int32, scard)
 		copy(merged, old.scounts)
-		for v, n := range g.scounts {
-			merged[v] += n
+		for v, c := range g.scounts {
+			merged[v] += c
 		}
-		ng := &egroup{rep: tuples[0], tuples: tuples, scounts: merged}
-		return ng.bucket(old.Key, sdict)
+		ng := &egroup{low: low, n: n, scounts: merged}
+		return ng.bucket(old.Key, src, order, sdict)
 	}
 	counts := make(map[string]int, old.Distinct()+4)
 	for _, vc := range old.Freq() {
 		counts[vc.Value] += vc.Count
 	}
 	if g.scounts != nil {
-		for v, n := range g.scounts {
-			if n > 0 {
-				counts[sdict.Value(uint32(v))] += int(n)
+		for v, c := range g.scounts {
+			if c > 0 {
+				counts[sdict.Value(uint32(v))] += int(c)
 			}
 		}
 	} else {
-		for v, n := range g.sparse {
-			counts[sdict.Value(v)] += int(n)
+		for v, c := range g.sparse {
+			counts[sdict.Value(v)] += int(c)
 		}
 	}
-	return newBucket(old.Key, tuples, counts)
+	return derivedBucket(old.Key, n, low, src, table.SortCounts(counts), nil)
 }
 
 // AppendRows derives the bucketization of the snapshot enc at the given
@@ -83,60 +91,44 @@ func AppendRows(old *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSe
 		// Nothing appended: same partition, re-anchored on the snapshot.
 		return &Bucketization{Buckets: old.Buckets, Source: enc.Table}, nil
 	}
-	sens := enc.SensitiveCol()
-	scard := enc.SensitiveDict().Len()
+	sdict := enc.SensitiveDict()
+	scard := sdict.Len()
 
 	// Group only the appended rows, on whichever key path the current
 	// cardinalities select (the old bucketization's key path is irrelevant:
 	// matching below goes through the decoded string keys, which both
 	// paths share).
-	var groups []*egroup
-	if packable(dims) {
-		byKey := make(map[uint64]*egroup)
-		for row := start; row < rows; row++ {
-			key := packKey(dims, row)
-			g := byKey[key]
-			if g == nil {
-				g = newEgroup(row, scard)
-				byKey[key] = g
-				groups = append(groups, g)
-			}
-			g.addRow(row, sens)
-		}
-	} else {
-		byKey := make(map[string]*egroup)
-		buf := make([]byte, 4*len(dims))
-		for row := start; row < rows; row++ {
-			appendTupleKey(dims, row, buf)
-			g := byKey[string(buf)]
-			if g == nil {
-				g = newEgroup(row, scard)
-				byKey[string(buf)] = g
-				groups = append(groups, g)
-			}
-			g.addRow(row, sens)
-		}
-	}
+	packed := packable(dims)
+	groups := scanRange(dims, enc.SensitiveCol(), scard, packed, start, rows).groups
 
 	// Match each appended group to an existing bucket through the
-	// materialized string key (decoded once per group, not per row).
+	// materialized string key (decoded once per group, not per row). The
+	// rebuilt and new buckets take their row lists from one source over
+	// rows [0, rows).
 	oldIndex := make(map[string]int, len(old.Buckets))
 	for i, b := range old.Buckets {
 		oldIndex[b.Key] = i
 	}
-	sdict := enc.SensitiveDict()
+	src := &scanRows{dims: dims, packed: packed, rows: rows, lows: make([]int, len(groups)), offs: make([]int, len(groups)+1)}
+	order := valueOrder(sdict)
 	parts := make([]string, len(dims))
 	out := make([]*Bucket, len(old.Buckets), len(old.Buckets)+len(groups))
 	copy(out, old.Buckets)
 	fresh := 0
-	for _, g := range groups {
-		key := keyString(dims, g.rep, parts)
-		if i, ok := oldIndex[key]; ok {
-			out[i] = appendMerged(old.Buckets[i], g, scard, sdict)
+	for gi, g := range groups {
+		key := keyString(dims, g.low, parts)
+		i, ok := oldIndex[key]
+		var b *Bucket
+		if ok {
+			b = appendMerged(old.Buckets[i], g, rowSource{scan: src, off: src.offs[gi]}, scard, order, sdict)
+			out[i] = b
 		} else {
-			out = append(out, g.bucket(key, sdict))
+			b = g.bucket(key, rowSource{scan: src, off: src.offs[gi]}, order, sdict)
+			out = append(out, b)
 			fresh++
 		}
+		src.lows[gi] = b.low
+		src.offs[gi+1] = src.offs[gi] + b.size
 	}
 	if fresh > 0 {
 		// New keys joined the partition; restore the global key order (the

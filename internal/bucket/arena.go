@@ -14,52 +14,49 @@ import (
 // Coarsen, but merges into caller-provided scratch drawn from a pooled
 // Arena and precomputes every output size from the source bucketization,
 // so a planned sweep materializing dozens of lattice nodes allocates each
-// histogram and tuple slab exactly once and reuses its grouping maps,
+// histogram slab exactly once and reuses its grouping maps, cursors,
 // permutation and key buffers across the nodes of a frontier slot.
 //
 // The output contract is Coarsen's, byte for byte: same keys, same bucket
-// order, same tuple order, same frequency tables. Three mechanical
-// differences make it cheaper, never different:
+// order, same tuple order, same frequency tables. Coarsening reads only
+// per-bucket state — a fine bucket's size, lowest row and histogram — so
+// its cost is O(fine buckets), never O(rows):
 //
 //   - groups that merge no fine buckets (one source bucket → one output
-//     bucket) share the source bucket's tuple, frequency and histogram
-//     storage outright under the re-decoded key instead of copying it;
-//   - tuples of merged groups are written by a single ascending row scan
-//     into an exactly-sized slab (epoch-tagged row→group scatter), so the
-//     per-group sort.Ints of the append-then-sort path disappears;
+//     bucket) share the source bucket's frequency and histogram storage,
+//     and its row list once built, under the re-decoded key;
+//   - a merged group records the fine buckets it absorbs; its row list is
+//     their lists' sorted union, derived on first use (Bucket.Tuples);
 //   - dense sensitive histograms of all merged groups live in one slab
 //     sized nGroups × cardinality up front.
 
 // Arena is the pooled scratch of coarsening calls: grouping maps (cleared,
-// not reallocated, between calls), the row→group tag array, and the key /
-// permutation / cursor buffers. An Arena is not safe for concurrent use;
-// obtain one per goroutine with GetArena and return it with PutArena when
-// the sweep slot is done. The zero value is ready to use.
+// not reallocated, between calls), the fine-bucket → group table, and the
+// key / permutation / cursor buffers. An Arena is not safe for concurrent
+// use; obtain one per goroutine with GetArena and return it with PutArena
+// when the sweep slot is done. The zero value is ready to use.
 type Arena struct {
 	by64    map[uint64]int
 	byStr   map[string]int
 	buf     []byte   // byte-tuple key buffer (unpackable dimension sets)
 	groups  []cgroup // per-call group table
 	groupOf []int32  // fine-bucket index → group index (-1: empty bucket)
-	rowTag  []uint64 // row → epoch<<32|group for merged-group scatter
-	epoch   uint32
 	cursor  []int
 	keys    []string
 	perm    []int
 	parts   []string
 }
 
-// cgroup is the pass-one state of one coarse group: its representative
-// row, the index of the first fine bucket that mapped to it, how many fine
-// buckets and rows it absorbs, and — for groups that actually merge — its
-// offset in the tuple slab and its dense-histogram slot.
+// cgroup is the pass-one state of one coarse group: its lowest row, how
+// many fine buckets and rows it absorbs, the offset of its fine buckets in
+// the call's parts slab, and — for groups that actually merge — its
+// dense-histogram slot.
 type cgroup struct {
-	rep   int
-	first int32
-	nb    int32
-	rows  int
-	off   int
-	mi    int32 // merged-group slot; -1 when the group is a single bucket
+	low  int
+	nb   int32
+	rows int
+	off  int
+	mi   int32 // merged-group slot; -1 when the group is a single bucket
 }
 
 // arenaPool recycles Arenas across sweeps; arenaGets and arenaAllocs feed
@@ -122,24 +119,6 @@ func (ar *Arena) reset(nDims, nFine int) {
 	ar.parts = ar.parts[:nDims]
 }
 
-// nextEpoch sizes the row-tag array for `rows` rows and advances the
-// epoch, returning the tag prefix (epoch<<32) rows of this call are marked
-// with. Stale tags from earlier calls never match the new epoch, so the
-// array is never cleared.
-func (ar *Arena) nextEpoch(rows int) uint64 {
-	if cap(ar.rowTag) < rows {
-		ar.rowTag = make([]uint64, rows)
-		ar.epoch = 0
-	}
-	ar.rowTag = ar.rowTag[:cap(ar.rowTag)]
-	ar.epoch++
-	if ar.epoch == 0 { // epoch wrapped: old tags would alias the new epoch
-		clear(ar.rowTag)
-		ar.epoch = 1
-	}
-	return uint64(ar.epoch) << 32
-}
-
 // buffers returns the per-group cursor, key and permutation scratch sized
 // for n groups.
 func (ar *Arena) buffers(n int) (cur []int, keys []string, perm []int) {
@@ -156,11 +135,11 @@ func (ar *Arena) buffers(n int) (cur []int, keys []string, perm []int) {
 }
 
 // CoarsenInto is Coarsen merging through a pooled Arena: byte-identical
-// output, with the grouping maps, row-tag array and ordering buffers drawn
-// from ar instead of allocated per call, exact-size tuple and histogram
-// slabs, and storage shared from fine buckets that coarsen alone. A nil ar
-// borrows one from the pool for the duration of the call. See Coarsen for
-// the derivation's precondition and the byte-identity contract.
+// output, with the grouping maps and ordering buffers drawn from ar
+// instead of allocated per call, an exact-size histogram slab, and
+// storage shared from fine buckets that coarsen alone. A nil ar borrows
+// one from the pool for the duration of the call. See Coarsen for the
+// derivation's precondition and the byte-identity contract.
 func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.CompiledSet, levels Levels, ar *Arena) (*Bucketization, error) {
 	if ar == nil {
 		ar = GetArena()
@@ -171,127 +150,100 @@ func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.Compiled
 		return nil, err
 	}
 	sens := enc.SensitiveCol()
-	scard := enc.SensitiveDict().Len()
+	sdict := enc.SensitiveDict()
+	scard := sdict.Len()
 	ar.reset(len(dims), len(fine.Buckets))
 
 	// Pass 1: assign every non-empty fine bucket a coarse group through its
-	// representative row (the nested-coarsening law: all its rows
-	// generalize identically), accumulating each group's bucket and row
-	// counts so every output slab below is allocated at exact size.
+	// lowest row (the nested-coarsening law: all its rows generalize
+	// identically), accumulating each group's bucket and row counts so
+	// every output slab below is allocated at exact size.
 	groups := ar.groups[:0]
 	groupOf := ar.groupOf
-	if packable(dims) {
-		by := ar.by64
-		for fi, b := range fine.Buckets {
-			if len(b.Tuples) == 0 {
-				groupOf[fi] = -1
-				continue
-			}
-			key := packKey(dims, b.Tuples[0])
-			gi, ok := by[key]
-			if !ok {
-				gi = len(groups)
-				by[key] = gi
-				groups = append(groups, cgroup{rep: b.Tuples[0], first: int32(fi), mi: -1})
-			}
-			g := &groups[gi]
-			g.nb++
-			g.rows += len(b.Tuples)
-			groupOf[fi] = int32(gi)
+	packed := packable(dims)
+	buf := ar.buf[:4*len(dims)]
+	nonEmpty := 0
+	for fi, b := range fine.Buckets {
+		if b.size == 0 {
+			groupOf[fi] = -1
+			continue
 		}
-	} else {
-		by := ar.byStr
-		buf := ar.buf[:4*len(dims)]
-		for fi, b := range fine.Buckets {
-			if len(b.Tuples) == 0 {
-				groupOf[fi] = -1
-				continue
-			}
-			appendTupleKey(dims, b.Tuples[0], buf)
-			gi, ok := by[string(buf)]
-			if !ok {
+		var gi int
+		var ok bool
+		if packed {
+			key := packKey(dims, b.low)
+			if gi, ok = ar.by64[key]; !ok {
 				gi = len(groups)
-				by[string(buf)] = gi
-				groups = append(groups, cgroup{rep: b.Tuples[0], first: int32(fi), mi: -1})
+				ar.by64[key] = gi
 			}
-			g := &groups[gi]
-			g.nb++
-			g.rows += len(b.Tuples)
-			groupOf[fi] = int32(gi)
+		} else {
+			appendTupleKey(dims, b.low, buf)
+			if gi, ok = ar.byStr[string(buf)]; !ok {
+				gi = len(groups)
+				ar.byStr[string(buf)] = gi
+			}
 		}
+		if !ok {
+			groups = append(groups, cgroup{low: b.low, mi: -1})
+		}
+		g := &groups[gi]
+		g.nb++
+		g.rows += b.size
+		g.low = min(g.low, b.low)
+		groupOf[fi] = int32(gi)
+		nonEmpty++
 	}
 	ar.groups = groups
 
-	// Lay out the merged groups (nb ≥ 2): slab offsets for tuples and a
-	// dense-histogram slot each. Groups of one fine bucket (mi = -1) never
-	// touch a slab — they share the source bucket's storage below.
-	nMerged, mergedRows := 0, 0
+	// Lay out every group's run of fine buckets in one parts slab, and give
+	// each merged group (nb ≥ 2) a dense-histogram slot. Groups of one fine
+	// bucket (mi = -1) share the source bucket's storage below.
+	cur, keys, perm := ar.buffers(len(groups))
+	nMerged, off := 0, 0
 	for gi := range groups {
-		if groups[gi].nb > 1 {
-			groups[gi].mi = int32(nMerged)
-			groups[gi].off = mergedRows
+		g := &groups[gi]
+		g.off, cur[gi] = off, off
+		off += int(g.nb)
+		if g.nb > 1 {
+			g.mi = int32(nMerged)
 			nMerged++
-			mergedRows += groups[gi].rows
+		}
+	}
+	partSlab := make([]*Bucket, nonEmpty)
+	for fi, b := range fine.Buckets {
+		if gi := groupOf[fi]; gi >= 0 {
+			partSlab[cur[gi]] = b
+			cur[gi]++
 		}
 	}
 
-	cur, keys, perm := ar.buffers(len(groups))
-
-	var tupSlab []int
 	dense := scard <= maxDenseSensitive
 	var histSlab []int32
-	if nMerged > 0 {
-		// Merged tuples: tag each merged row with its group, then scatter
-		// by one ascending row scan — the slab sections come out in global
-		// row order, exactly what the append-then-sort path sorted into.
-		tupSlab = make([]int, mergedRows)
-		rows := enc.Rows()
-		tag := ar.nextEpoch(rows)
+	var order []uint32
+	if nMerged > 0 && dense {
+		// Merged dense histograms: one slab, summed slice-to-slice from fine
+		// histograms when they carry one (a histogram shorter than the
+		// current code space is still exact — it predates an append, and
+		// codes are never reassigned), recounted from rows otherwise.
+		histSlab = make([]int32, nMerged*scard)
 		for fi, b := range fine.Buckets {
 			gi := groupOf[fi]
 			if gi < 0 || groups[gi].mi < 0 {
 				continue
 			}
-			t := tag | uint64(uint32(gi))
-			for _, row := range b.Tuples {
-				ar.rowTag[row] = t
-			}
-		}
-		for gi := range groups {
-			cur[gi] = groups[gi].off
-		}
-		for row, t := range ar.rowTag[:rows] {
-			if t&^uint64(0xffffffff) != tag {
-				continue
-			}
-			gi := uint32(t)
-			tupSlab[cur[gi]] = row
-			cur[gi]++
-		}
-		if dense {
-			// Merged dense histograms: one slab, summed slice-to-slice from
-			// fine histograms when they carry one (a histogram shorter than
-			// the current code space is still exact — it predates an append,
-			// and codes are never reassigned), recounted from rows otherwise.
-			histSlab = make([]int32, nMerged*scard)
-			for fi, b := range fine.Buckets {
-				gi := groupOf[fi]
-				if gi < 0 || groups[gi].mi < 0 {
-					continue
+			mi := int(groups[gi].mi)
+			hist := histSlab[mi*scard : (mi+1)*scard : (mi+1)*scard]
+			if b.scounts != nil && len(b.scounts) <= scard {
+				for v, n := range b.scounts {
+					hist[v] += n
 				}
-				mi := int(groups[gi].mi)
-				hist := histSlab[mi*scard : (mi+1)*scard : (mi+1)*scard]
-				if b.scounts != nil && len(b.scounts) <= scard {
-					for v, n := range b.scounts {
-						hist[v] += n
-					}
-				} else {
-					for _, row := range b.Tuples {
-						hist[sens[row]]++
-					}
+			} else {
+				for _, row := range b.Tuples() {
+					hist[sens[row]]++
 				}
 			}
 		}
+		order = valueOrder(sdict)
 	}
 
 	// Decode the keys once per group and order the output; a monotone
@@ -299,7 +251,7 @@ func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.Compiled
 	// skipped (keysAreSorted is the linear pre-check of finishGroups too).
 	parts := ar.parts[:len(dims)]
 	for gi := range groups {
-		keys[gi] = keyString(dims, groups[gi].rep, parts)
+		keys[gi] = keyString(dims, groups[gi].low, parts)
 	}
 	for i := range perm {
 		perm[i] = i
@@ -308,27 +260,30 @@ func CoarsenInto(fine *Bucketization, enc *table.Encoded, chs hierarchy.Compiled
 		sort.Slice(perm, func(i, j int) bool { return keys[perm[i]] < keys[perm[j]] })
 	}
 
-	sdict := enc.SensitiveDict()
 	bz := &Bucketization{Source: enc.Table, Buckets: make([]*Bucket, len(groups))}
 	for oi, gi := range perm {
 		g := &groups[gi]
+		from := partSlab[g.off : g.off+int(g.nb) : g.off+int(g.nb)]
 		if g.nb == 1 {
-			bz.Buckets[oi] = rekeyBucket(fine.Buckets[g.first], keys[gi])
+			bz.Buckets[oi] = rekeyBucket(keys[gi], from)
 			continue
 		}
-		sec := tupSlab[g.off : g.off+g.rows : g.off+g.rows]
-		eg := egroup{rep: g.rep, tuples: sec}
+		src := rowSource{parts: from}
 		if dense {
 			mi := int(g.mi)
-			eg.scounts = histSlab[mi*scard : (mi+1)*scard : (mi+1)*scard]
-		} else {
-			sp := make(map[uint32]int32, 8)
-			for _, row := range sec {
-				sp[sens[row]]++
-			}
-			eg.sparse = sp
+			eg := egroup{low: g.low, n: g.rows, scounts: histSlab[mi*scard : (mi+1)*scard : (mi+1)*scard]}
+			bz.Buckets[oi] = eg.bucket(keys[gi], src, order, sdict)
+			continue
 		}
-		bz.Buckets[oi] = eg.bucket(keys[gi], sdict)
+		// Sparse histograms are not kept on buckets: merge the fine
+		// buckets' decoded frequency tables.
+		counts := make(map[string]int, 8)
+		for _, b := range from {
+			for _, vc := range b.freq {
+				counts[vc.Value] += vc.Count
+			}
+		}
+		bz.Buckets[oi] = derivedBucket(keys[gi], g.rows, g.low, src, table.SortCounts(counts), nil)
 	}
 	return bz, nil
 }

@@ -9,21 +9,34 @@ package bucket
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"ckprivacy/internal/hierarchy"
 	"ckprivacy/internal/table"
 )
 
 // Bucket is one block of the partition.
+//
+// A bucket's row list is derived state. Worst-case disclosure reads only
+// the sensitive histogram, so the scan, coarsening and append paths count
+// rows and merge histograms and record where the list can be rebuilt from;
+// Tuples builds it on first use. A Bucket holds a sync.Once and must not
+// be copied by value.
 type Bucket struct {
 	// Key identifies the bucket, e.g. the generalized quasi-identifier
 	// signature that formed it.
 	Key string
-	// Tuples lists the row indices (person identities) in the bucket.
-	Tuples []int
+
+	size int // n_b
+	low  int // lowest row id in the bucket; -1 when it is empty
+
+	once   sync.Once // guards building tuples from src
+	tuples []int     // the row list once built; set up front by eager constructors
+	src    rowSource // where a derived list comes from; cleared once built
 
 	freq   []table.ValueCount // decreasing count, ties by value
 	prefix []int              // prefix[j] = sum of top-j counts
@@ -34,37 +47,107 @@ type Bucket struct {
 	scounts []int32
 }
 
-// newBucket finalizes a bucket's derived state from a sensitive-value
+// rowSource says where a derived bucket's row list comes from: a section
+// of a scanRows slab (a base scan's, or an append's), or the union of
+// finer buckets' lists. A source with neither marks an eager bucket.
+type rowSource struct {
+	scan  *scanRows // the bucket is section [off, off+size) of scan's slab
+	off   int
+	parts []*Bucket // the list is the sorted union of these buckets' lists
+}
+
+// newBucket builds an eager bucket from its row list and a sensitive-value
 // count map. The map is not retained: the sorted freq slice answers every
 // later query.
 func newBucket(key string, tuples []int, counts map[string]int) *Bucket {
-	b := &Bucket{Key: key, Tuples: tuples, freq: table.SortCounts(counts)}
+	low := -1
+	for i, id := range tuples {
+		if i == 0 || id < low {
+			low = id
+		}
+	}
+	b := &Bucket{Key: key, size: len(tuples), low: low, tuples: tuples, freq: table.SortCounts(counts)}
 	b.finalize()
 	return b
 }
 
-// rekeyBucket returns a bucket identical to b under a new key, sharing
-// its tuple, frequency and histogram storage. Coarsening a group of one
-// fine bucket changes nothing but the key, so the derived state can be
-// shared outright: buckets are immutable once built (the snapshotmut
-// analyzer pins them to this file) and appends rebuild touched buckets
-// rather than mutating them, so the sharing is never observable.
-func rekeyBucket(b *Bucket, key string) *Bucket {
-	return &Bucket{Key: key, Tuples: b.Tuples, freq: b.freq, prefix: b.prefix, hist: b.hist, scounts: b.scounts}
+// derivedBucket builds a bucket whose row list is derived from src on the
+// first Tuples call. size and low are the list's length and lowest row;
+// freq must already be in decreasing-count order.
+func derivedBucket(key string, size, low int, src rowSource, freq []table.ValueCount, scounts []int32) *Bucket {
+	b := &Bucket{Key: key, size: size, low: low, src: src, freq: freq, scounts: scounts}
+	b.finalize()
+	return b
+}
+
+// rekeyBucket returns a bucket identical to part[0] under a new key,
+// sharing its frequency and histogram storage, and its row list once
+// built. Coarsening a group of one fine bucket changes nothing but the
+// key, so the derived state can be shared outright: buckets are immutable
+// once built (the snapshotmut analyzer pins them to this file) and appends
+// derive touched buckets rather than mutating them, so the sharing is
+// never observable. part has length one.
+func rekeyBucket(key string, part []*Bucket) *Bucket {
+	b := part[0]
+	return &Bucket{Key: key, size: b.size, low: b.low, src: rowSource{parts: part},
+		freq: b.freq, prefix: b.prefix, hist: b.hist, scounts: b.scounts}
 }
 
 // finalize derives the prefix sums and the cached histogram from freq.
+// Both live in one allocation.
 func (b *Bucket) finalize() {
-	b.prefix = make([]int, len(b.freq)+1)
-	b.hist = make([]int, len(b.freq))
+	n := len(b.freq)
+	buf := make([]int, 2*n+1)
+	b.hist, b.prefix = buf[:n:n], buf[n:]
 	for i, vc := range b.freq {
 		b.prefix[i+1] = b.prefix[i] + vc.Count
 		b.hist[i] = vc.Count
 	}
 }
 
+// Tuples returns the row indices (person identities) in the bucket. Every
+// bucket built by a scan, a coarsening or an append lists them in
+// ascending row order, as FromGeneralization does; FromValues numbers
+// persons in order, and FromTupleGroups and Merge keep the order they
+// were given. The returned slice is shared and must not be modified.
+//
+// Derived buckets build the list on the first call and return the same
+// slice afterwards; calls are safe from any goroutine. The first call on
+// any bucket of a base scan, or on any bucket one append rebuilt or
+// created, re-scans that source's rows once, O(rows), and fills the lists
+// of all its buckets from one slab. A coarsened bucket concatenates the
+// lists of the fine buckets it merged (building those first) and sorts
+// them, O(n_b log n_b). The disclosure and safety computations never call
+// it.
+func (b *Bucket) Tuples() []int {
+	b.once.Do(b.build)
+	return b.tuples
+}
+
+// build derives the row list from the bucket's source and drops the
+// source, so a built bucket no longer pins its scan or finer buckets.
+func (b *Bucket) build() {
+	switch src := b.src; {
+	case src.scan != nil:
+		src.scan.once.Do(src.scan.fill)
+		b.tuples = src.scan.slab[src.off : src.off+b.size : src.off+b.size]
+	case len(src.parts) == 1:
+		b.tuples = src.parts[0].Tuples()
+	case len(src.parts) > 1:
+		t := make([]int, 0, b.size)
+		for _, p := range src.parts {
+			t = append(t, p.Tuples()...)
+		}
+		slices.Sort(t)
+		b.tuples = t
+	default:
+		return // eager: the list was set at construction
+	}
+	b.src = rowSource{}
+}
+
 // Size returns n_b, the number of tuples in the bucket.
-func (b *Bucket) Size() int { return len(b.Tuples) }
+func (b *Bucket) Size() int { return b.size }
 
 // Count returns n_b(s), the multiplicity of sensitive value s. The number
 // of distinct sensitive values per bucket is small, so a linear scan of
@@ -154,18 +237,29 @@ func FromValues(groups ...[]string) *Bucketization {
 // recounted from src) without re-running the original generalization scan.
 // Buckets are taken in the given order; keys need not be sorted (they were
 // sorted when first built, and recovery preserves that order verbatim).
+// The groups must partition a set of rows: an empty group, or a row id
+// that appears twice (in one group or in two), is an error naming the
+// group.
 func FromTupleGroups(src *table.Table, keys []string, groups [][]int) (*Bucketization, error) {
 	if len(keys) != len(groups) {
 		return nil, fmt.Errorf("bucket: %d keys but %d groups", len(keys), len(groups))
 	}
+	owner := make([]int32, src.Len()) // row id → 1 + index of the group holding it
 	bz := &Bucketization{Source: src}
 	for i, key := range keys {
 		tuples := groups[i]
+		if len(tuples) == 0 {
+			return nil, fmt.Errorf("bucket: group %d (key %q) is empty", i, key)
+		}
 		counts := make(map[string]int, 4)
 		for _, id := range tuples {
 			if id < 0 || id >= src.Len() {
 				return nil, fmt.Errorf("bucket: group %d tuple id %d outside table of %d rows", i, id, src.Len())
 			}
+			if o := owner[id]; o != 0 {
+				return nil, fmt.Errorf("bucket: group %d (key %q) repeats tuple id %d, already in group %d", i, key, id, o-1)
+			}
+			owner[id] = int32(i + 1)
 			counts[src.SensitiveValue(id)]++
 		}
 		bz.Buckets = append(bz.Buckets, newBucket(key, tuples, counts))
@@ -300,9 +394,9 @@ func (bz *Bucketization) Merge(i, j int) (*Bucketization, error) {
 		for _, vc := range c.freq {
 			counts[vc.Value] += vc.Count
 		}
-		tuples := make([]int, 0, len(a.Tuples)+len(c.Tuples))
-		tuples = append(tuples, a.Tuples...)
-		tuples = append(tuples, c.Tuples...)
+		tuples := make([]int, 0, a.size+c.size)
+		tuples = append(tuples, a.Tuples()...)
+		tuples = append(tuples, c.Tuples()...)
 		merged := newBucket(a.Key+"+"+c.Key, tuples, counts)
 		if a.scounts != nil && c.scounts != nil && len(a.scounts) == len(c.scounts) {
 			merged.scounts = make([]int32, len(a.scounts))
@@ -328,7 +422,7 @@ func (bz *Bucketization) Size() int {
 // -1 if absent.
 func (bz *Bucketization) BucketOf(id int) int {
 	for i, b := range bz.Buckets {
-		for _, t := range b.Tuples {
+		for _, t := range b.Tuples() {
 			if t == id {
 				return i
 			}
@@ -350,11 +444,12 @@ func (bz *Bucketization) Publish(rng *rand.Rand) ([][]string, error) {
 	var out [][]string
 	for _, b := range bz.Buckets {
 		vals := make([]string, 0, b.Size())
-		for _, id := range b.Tuples {
+		tuples := b.Tuples()
+		for _, id := range tuples {
 			vals = append(vals, t.SensitiveValue(id))
 		}
 		rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-		for i, id := range b.Tuples {
+		for i, id := range tuples {
 			row := make([]string, 0, len(qi)+2)
 			row = append(row, b.Key)
 			for _, col := range qi {

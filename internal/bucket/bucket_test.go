@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -247,7 +248,7 @@ func TestPublishPreservesMultisets(t *testing.T) {
 	}
 	for _, b := range bz.Buckets {
 		want := []string{}
-		for _, id := range b.Tuples {
+		for _, id := range b.Tuples() {
 			want = append(want, tab.SensitiveValue(id))
 		}
 		g := got[b.Key]
@@ -264,6 +265,51 @@ func TestPublishPreservesMultisets(t *testing.T) {
 	}
 	if _, err := FromValues([]string{"a"}).Publish(rand.New(rand.NewSource(1))); err == nil {
 		t.Error("Publish without source accepted")
+	}
+}
+
+// TestFromTupleGroups pins the recovery constructor: a partition of rows
+// round-trips, and groups that are not one (an empty group, a row id in
+// two groups or twice in one, an id outside the table) are rejected with
+// an error naming the offending group.
+func TestFromTupleGroups(t *testing.T) {
+	tab := paperTable(t)
+	want, err := FromGeneralization(tab, paperHierarchies(), Levels{"Zip": 1, "Age": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(want.Buckets))
+	groups := make([][]int, len(want.Buckets))
+	for i, b := range want.Buckets {
+		keys[i], groups[i] = b.Key, b.Tuples()
+	}
+	got, err := FromTupleGroups(tab, keys, groups)
+	if err != nil {
+		t.Fatalf("round trip: %v", err)
+	}
+	requireIdentical(t, want, got, "round trip")
+
+	three := table.New(tab.Schema)
+	for _, r := range tab.Rows[:3] {
+		three.MustAppend(r)
+	}
+	for _, c := range []struct {
+		name   string
+		groups [][]int
+		want   string
+	}{
+		{"row in two groups", [][]int{{0, 1}, {1, 2}}, "group 1"},
+		{"row twice in one group", [][]int{{0}, {1, 1, 2}}, "group 1"},
+		{"empty group", [][]int{{0, 1, 2}, {}}, "group 1"},
+		{"id outside table", [][]int{{0, 1}, {2, 3}}, "group 1"},
+	} {
+		_, err := FromTupleGroups(three, []string{"a", "b"}, c.groups)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.name, err, c.want)
+		}
+	}
+	if _, err := FromTupleGroups(three, []string{"a"}, [][]int{{0}, {1}}); err == nil {
+		t.Error("mismatched keys and groups accepted")
 	}
 }
 

@@ -27,7 +27,7 @@ func discoveryKeys(t *testing.T, fine *Bucketization, enc *table.Encoded, chs hi
 	seen := map[string]bool{}
 	var keys []string
 	for _, b := range fine.Buckets {
-		k := keyString(dims, b.Tuples[0], parts)
+		k := keyString(dims, b.Tuples()[0], parts)
 		if !seen[k] {
 			seen[k] = true
 			keys = append(keys, k)

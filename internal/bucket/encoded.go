@@ -3,6 +3,7 @@ package bucket
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,7 +20,8 @@ import (
 // packing), falling back to a byte-tuple key otherwise — the fallback is
 // exact, not a lossy hash, so both key paths group identically. Sensitive
 // histograms are counted over the sensitive dictionary's code space and
-// decoded to strings once per bucket.
+// decoded to strings once per bucket. Rows are counted, not collected:
+// each bucket's row list is derived on first use (Bucket.Tuples).
 //
 // Byte-identity contract (relied on by the randomized parity tests and by
 // the lattice searches' caches): bucket keys, bucket order, tuple sets and
@@ -161,19 +163,21 @@ func appendTupleKey(dims []dim, row int, buf []byte) {
 // O(rows) like the string path.
 const maxDenseSensitive = 256
 
-// egroup accumulates one bucket of the encoded grouping. Exactly one of
-// scounts (dense) or sparse is non-nil, chosen by sensitive cardinality.
+// egroup accumulates one bucket of the encoded grouping: a row count, the
+// lowest row and the sensitive histogram. Exactly one of scounts (dense)
+// or sparse is non-nil, chosen by sensitive cardinality. Rows are counted,
+// not collected; the bucket's row list is derived on demand (bucket.go).
 type egroup struct {
-	rep     int // representative row: any member; all agree at these levels
-	tuples  []int
+	low     int // lowest row; every member generalizes like it
+	n       int
 	scounts []int32
 	sparse  map[uint32]int32
 }
 
 // newEgroup allocates a group with the histogram representation suited to
 // the sensitive code space.
-func newEgroup(rep, scard int) *egroup {
-	g := &egroup{rep: rep}
+func newEgroup(low, scard int) *egroup {
+	g := &egroup{low: low}
 	if scard <= maxDenseSensitive {
 		g.scounts = make([]int32, scard)
 	} else {
@@ -182,9 +186,9 @@ func newEgroup(rep, scard int) *egroup {
 	return g
 }
 
-// addRow appends one row to the group.
+// addRow counts one row into the group.
 func (g *egroup) addRow(row int, sens []uint32) {
-	g.tuples = append(g.tuples, row)
+	g.n++
 	if g.scounts != nil {
 		g.scounts[sens[row]]++
 	} else {
@@ -202,40 +206,67 @@ func keyString(dims []dim, row int, parts []string) string {
 	return strings.Join(parts, "|")
 }
 
-// bucket finalizes the group into a Bucket, decoding value strings
-// through the sensitive dictionary. Sorting matches table.SortCounts
-// (count desc, value asc), so the resulting freq slice is byte-identical
-// to the string path's. Dense groups keep their code histogram on the
-// bucket for later coarsening; sparse ones drop it (Coarsen recounts
-// their rows, which is still O(rows) total).
-func (g *egroup) bucket(key string, sdict *table.Dict) *Bucket {
-	freq := make([]table.ValueCount, 0, 8)
+// valueOrder returns the sensitive dictionary's codes in ascending order
+// of their value strings, or nil when histograms over it are sparse. A
+// call that finalizes many dense groups computes it once, so each group's
+// histogram sorts by integer counts alone.
+func valueOrder(sdict *table.Dict) []uint32 {
+	if sdict.Len() > maxDenseSensitive {
+		return nil
+	}
+	vals := sdict.Values()
+	order := make([]uint32, len(vals))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(vals[a], vals[b]) })
+	return order
+}
+
+// bucket finalizes the group into a Bucket whose row list comes from src,
+// decoding value strings through the sensitive dictionary. The order
+// matches table.SortCounts (count desc, value asc), so the freq slice is
+// byte-identical to the string path's: a dense histogram is read in
+// value order (order, from valueOrder) and then stably sorted by count;
+// dictionary values are distinct, so the tie order is the string order.
+// Dense groups keep their code histogram on the bucket for later
+// coarsening; sparse ones drop it (coarsening merges their freq slices).
+func (g *egroup) bucket(key string, src rowSource, order []uint32, sdict *table.Dict) *Bucket {
+	var freq []table.ValueCount
 	if g.scounts != nil {
-		for code, n := range g.scounts {
+		distinct := 0
+		for _, n := range g.scounts {
 			if n > 0 {
-				freq = append(freq, table.ValueCount{Value: sdict.Value(uint32(code)), Count: int(n)})
+				distinct++
 			}
 		}
+		freq = make([]table.ValueCount, 0, distinct)
+		for _, code := range order {
+			if n := g.scounts[code]; n > 0 {
+				freq = append(freq, table.ValueCount{Value: sdict.Value(code), Count: int(n)})
+			}
+		}
+		slices.SortStableFunc(freq, func(a, b table.ValueCount) int { return b.Count - a.Count })
 	} else {
+		freq = make([]table.ValueCount, 0, len(g.sparse))
 		for code, n := range g.sparse {
 			freq = append(freq, table.ValueCount{Value: sdict.Value(code), Count: int(n)})
 		}
+		slices.SortFunc(freq, func(a, b table.ValueCount) int {
+			if a.Count != b.Count {
+				return b.Count - a.Count
+			}
+			return strings.Compare(a.Value, b.Value)
+		})
 	}
-	sort.Slice(freq, func(i, j int) bool {
-		if freq[i].Count != freq[j].Count {
-			return freq[i].Count > freq[j].Count
-		}
-		return freq[i].Value < freq[j].Value
-	})
-	b := &Bucket{Key: key, Tuples: g.tuples, freq: freq, scounts: g.scounts}
-	b.finalize()
-	return b
+	return derivedBucket(key, g.n, g.low, src, freq, g.scounts)
 }
 
 // finishGroups materializes and orders the buckets of an encoded
-// grouping: keys decoded once per group, groups sorted by key exactly as
-// the string path sorts.
-func finishGroups(enc *table.Encoded, dims []dim, groups []*egroup) *Bucketization {
+// grouping of all rows: keys decoded once per group, groups sorted by key
+// exactly as the string path sorts. The buckets share one scanRows source
+// over the same rows and dims, which derives their row lists.
+func finishGroups(enc *table.Encoded, dims []dim, packed bool, groups []*egroup) *Bucketization {
 	type keyed struct {
 		key string
 		g   *egroup
@@ -244,7 +275,7 @@ func finishGroups(enc *table.Encoded, dims []dim, groups []*egroup) *Bucketizati
 	parts := make([]string, len(dims))
 	sorted := true
 	for i, g := range groups {
-		ks[i] = keyed{keyString(dims, g.rep, parts), g}
+		ks[i] = keyed{keyString(dims, g.low, parts), g}
 		if i > 0 && ks[i].key < ks[i-1].key {
 			sorted = false
 		}
@@ -254,11 +285,15 @@ func finishGroups(enc *table.Encoded, dims []dim, groups []*egroup) *Bucketizati
 	if !sorted {
 		sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
 	}
+	src := &scanRows{dims: dims, packed: packed, rows: enc.Rows(), lows: make([]int, len(ks)), offs: make([]int, len(ks)+1)}
 	bz := &Bucketization{Source: enc.Table}
 	bz.Buckets = make([]*Bucket, len(ks))
 	sdict := enc.SensitiveDict()
+	order := valueOrder(sdict)
 	for i, k := range ks {
-		bz.Buckets[i] = k.g.bucket(k.key, sdict)
+		src.lows[i] = k.g.low
+		src.offs[i+1] = src.offs[i] + k.g.n
+		bz.Buckets[i] = k.g.bucket(k.key, rowSource{scan: src, off: src.offs[i]}, order, sdict)
 	}
 	return bz
 }
@@ -276,12 +311,13 @@ func FromGeneralizationEncoded(enc *table.Encoded, chs hierarchy.CompiledSet, le
 // Coarsen derives the bucketization at the given levels from an
 // already-materialized finer bucketization of the same encoded table,
 // without rescanning the rows: every fine bucket is re-keyed through its
-// representative row (the hierarchies' nested-coarsening law guarantees
-// all its rows generalize identically), fine buckets with equal coarse
-// keys are merged, and their sensitive code histograms are summed. The
-// cost is proportional to the number of fine buckets, not the number of
-// rows — this is what makes lattice-wide sweeps cheap after the first
-// scan.
+// lowest row (the hierarchies' nested-coarsening law guarantees all its
+// rows generalize identically), fine buckets with equal coarse keys are
+// merged, and their sensitive code histograms are summed. A merged
+// bucket's row list is derived from its fine buckets' on first use
+// (Bucket.Tuples), so the cost is proportional to the number of fine
+// buckets, not the number of rows — this is what makes lattice-wide
+// sweeps cheap after the first scan.
 //
 // Precondition: fine partitions enc.Table at levels that are
 // component-wise ≤ the requested levels (on every schema QI attribute).

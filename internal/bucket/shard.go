@@ -12,9 +12,8 @@ import (
 // code columns are split into P contiguous row ranges, each range is
 // grouped independently (on its own core when the pool can lend one), and
 // the per-shard partial groups are merged key-by-key. Because shards are
-// contiguous and processed in ascending order, concatenating a key's
-// per-shard tuple runs reproduces the exact row-scan tuple order, each
-// key's representative row is the globally lowest, and dense sensitive
+// contiguous and processed in ascending order, each key's lowest row is
+// the one its first shard saw, and row counts and dense sensitive
 // histograms sum exactly — so the merged result is byte-identical to the
 // single-threaded scan (the randomized parity tests in shard_test.go pin
 // this at several shard counts, on both key paths). This is what turns
@@ -54,7 +53,7 @@ func getScratch() *scratch {
 
 // newEgroup allocates a group like the package-level newEgroup, drawing
 // dense histograms from the scratch's free list when one fits.
-func (sc *scratch) newEgroup(rep, scard int) *egroup {
+func (sc *scratch) newEgroup(low, scard int) *egroup {
 	if scard <= maxDenseSensitive {
 		for n := len(sc.free); n > 0; n = len(sc.free) {
 			s := sc.free[n-1]
@@ -62,11 +61,11 @@ func (sc *scratch) newEgroup(rep, scard int) *egroup {
 			if cap(s) >= scard {
 				s = s[:scard]
 				clear(s)
-				return &egroup{rep: rep, scounts: s}
+				return &egroup{low: low, scounts: s}
 			}
 		}
 	}
-	return newEgroup(rep, scard)
+	return newEgroup(low, scard)
 }
 
 // releaseScounts returns merged-away dense histograms to the scratch pool
@@ -132,9 +131,8 @@ func scanRange(dims []dim, sens []uint32, scard int, packed bool, lo, hi int) sh
 }
 
 // mergeShards folds the per-shard partial groups into one global group
-// set. Shards are processed in ascending row order, so a key's tuples
-// concatenate into exact row-scan order and the first shard holding a key
-// contributes the globally lowest representative row. Dense histograms
+// set. Shards are processed in ascending row order, so the first shard
+// holding a key contributes the globally lowest row. Dense histograms
 // sum slice-to-slice (every shard allocated them over the same sensitive
 // code space); sparse ones merge map-to-map. Histograms of merged-away
 // duplicates are recycled.
@@ -147,7 +145,7 @@ func mergeShards(parts []shardScan, packed bool) []*egroup {
 		freed  [][]int32
 	)
 	fold := func(dst, g *egroup) {
-		dst.tuples = append(dst.tuples, g.tuples...)
+		dst.n += g.n
 		if dst.scounts != nil {
 			for v, n := range g.scounts {
 				dst.scounts[v] += n
@@ -227,5 +225,60 @@ func FromGeneralizationEncodedSharded(enc *table.Encoded, chs hierarchy.Compiled
 	if err != nil {
 		return nil, err
 	}
-	return finishGroups(enc, dims, mergeShards(parts, packed)), nil
+	return finishGroups(enc, dims, packed, mergeShards(parts, packed)), nil
+}
+
+// scanRows is the shared row-list source of a set of buckets over rows
+// [0, rows): the buckets of one scan, or those one append rebuilt or
+// created. It keeps what the rows were keyed by, plus each bucket's lowest
+// row and slab offset, and builds every list on the first request: fill
+// re-keys the rows once and scatters those of its buckets' keys into one
+// exact-size slab, whose sections are the buckets' lists in ascending row
+// order. It reads only its first `rows` rows, through the column views
+// and LUTs of its construction; appends neither rewrite those rows nor
+// the codes they hold, so a fill after later appends gives the same
+// answer.
+type scanRows struct {
+	once   sync.Once
+	dims   []dim
+	packed bool
+	rows   int
+	lows   []int // bucket i's lowest row, keying it
+	offs   []int // bucket i's list is slab[offs[i]:offs[i+1]]
+	slab   []int
+}
+
+// fill builds the slab; it runs once, under once.
+func (s *scanRows) fill() {
+	cur := make([]int, len(s.lows))
+	copy(cur, s.offs)
+	slab := make([]int, s.offs[len(s.lows)])
+	if s.packed {
+		index := make(map[uint64]int, len(s.lows))
+		for i, low := range s.lows {
+			index[packKey(s.dims, low)] = i
+		}
+		for row := 0; row < s.rows; row++ {
+			if i, ok := index[packKey(s.dims, row)]; ok {
+				slab[cur[i]] = row
+				cur[i]++
+			}
+		}
+	} else {
+		index := make(map[string]int, len(s.lows))
+		buf := make([]byte, 4*len(s.dims))
+		for i, low := range s.lows {
+			appendTupleKey(s.dims, low, buf)
+			index[string(buf)] = i
+		}
+		for row := 0; row < s.rows; row++ {
+			appendTupleKey(s.dims, row, buf)
+			if i, ok := index[string(buf)]; ok {
+				slab[cur[i]] = row
+				cur[i]++
+			}
+		}
+	}
+	s.slab = slab
+	s.dims, s.lows, s.offs = nil, nil, nil
 }

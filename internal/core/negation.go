@@ -101,7 +101,7 @@ func NegationWitnessFor(bz *bucket.Bucketization, k int, name func(id int) strin
 	}
 	b := bz.Buckets[bi]
 	freq := b.Freq()
-	person := name(b.Tuples[0])
+	person := name(b.Tuples()[0])
 	w := NegationWitness{
 		Disclosure:   d,
 		Target:       logic.Atom{Person: person, Value: freq[si].Value},

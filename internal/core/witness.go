@@ -91,10 +91,10 @@ func (e *Engine) Witness(bz *bucket.Bucketization, k int, opt Options, name func
 		// composition comes straight from the DP rather than the memo.
 		comp := m1Compute(v.hist, atoms).comp
 		for person, kj := range comp {
-			if person >= len(v.b.Tuples) {
+			if person >= v.b.Size() {
 				break
 			}
-			pname := name(v.b.Tuples[person])
+			pname := name(v.b.Tuples()[person])
 			for r := 0; r < kj && r < len(freq); r++ {
 				atom := logic.Atom{Person: pname, Value: freq[r].Value}
 				if pl.hasA && person == 0 && r == 0 {

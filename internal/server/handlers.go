@@ -865,7 +865,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 				Persons: make([]string, 0, b.Size()),
 				Values:  make([]string, 0, b.Size()),
 			}
-			for _, id := range b.Tuples {
+			for _, id := range b.Tuples() {
 				wb.Persons = append(wb.Persons, strconv.Itoa(id))
 			}
 			for _, vc := range b.Freq() {

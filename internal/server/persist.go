@@ -138,7 +138,7 @@ func releaseToRecord(rel *release) store.ReleaseRecord {
 	}
 	for i, b := range rel.bz.Buckets {
 		rec.Keys[i] = b.Key
-		rec.Groups[i] = b.Tuples
+		rec.Groups[i] = b.Tuples()
 	}
 	return rec
 }

@@ -101,7 +101,7 @@ func intersect(a, b *release) *bucket.Bucketization {
 		bucketOf[i] = -1
 	}
 	for bi, bb := range b.bz.Buckets {
-		for _, t := range bb.Tuples {
+		for _, t := range bb.Tuples() {
 			if t < common {
 				bucketOf[t] = bi
 			}
@@ -111,7 +111,7 @@ func intersect(a, b *release) *bucket.Bucketization {
 	cells := make(map[cellKey][]string)
 	var order []cellKey
 	for ai, ab := range a.bz.Buckets {
-		for _, t := range ab.Tuples {
+		for _, t := range ab.Tuples() {
 			if t >= common || bucketOf[t] < 0 {
 				continue
 			}

@@ -56,7 +56,7 @@ func FromBucketization(bz *bucket.Bucketization, name func(id int) string) (Inst
 	var in Instance
 	for _, b := range bz.Buckets {
 		wb := Bucket{}
-		for _, id := range b.Tuples {
+		for _, id := range b.Tuples() {
 			wb.Persons = append(wb.Persons, name(id))
 			wb.Values = append(wb.Values, bz.Source.SensitiveValue(id))
 		}
