@@ -1,9 +1,6 @@
 package ckprivacy
 
 import (
-	"io"
-	"math/big"
-
 	"ckprivacy/internal/anonymize"
 	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
@@ -14,9 +11,7 @@ import (
 	"ckprivacy/internal/logic"
 	"ckprivacy/internal/parallel"
 	"ckprivacy/internal/privacy"
-	"ckprivacy/internal/replica"
 	"ckprivacy/internal/server"
-	"ckprivacy/internal/store"
 	"ckprivacy/internal/table"
 	"ckprivacy/internal/utility"
 	"ckprivacy/internal/worlds"
@@ -32,8 +27,6 @@ type (
 	Attribute = table.Attribute
 	// Row is one tuple in schema order.
 	Row = table.Row
-	// ValueCount pairs a sensitive value with its multiplicity.
-	ValueCount = table.ValueCount
 )
 
 // Attribute kinds.
@@ -51,9 +44,6 @@ func NewSchema(attrs []Attribute, sensitive string) (*Schema, error) {
 // NewTable creates an empty table over the schema.
 func NewTable(s *Schema) *Table { return table.New(s) }
 
-// ReadCSV loads a table written by Table.WriteCSV.
-func ReadCSV(r io.Reader, s *Schema) (*Table, error) { return table.ReadCSV(r, s) }
-
 // Generalization hierarchies.
 type (
 	// Hierarchy generalizes one attribute through numbered levels.
@@ -61,9 +51,6 @@ type (
 	// Hierarchies maps attribute names to hierarchies.
 	Hierarchies = hierarchy.Set
 )
-
-// Suppressed is the fully suppressed value "*".
-const Suppressed = hierarchy.Suppressed
 
 // NewIntervalHierarchy builds a zero-anchored interval hierarchy for
 // integer attributes; widths start at 1 and may end with 0 (suppression).
@@ -76,30 +63,16 @@ func NewSuppressionHierarchy(name string, domain []string) Hierarchy {
 	return hierarchy.NewSuppression(name, domain)
 }
 
-// NewLevelledHierarchy builds a categorical hierarchy from explicit
-// per-level maps over the domain.
-func NewLevelledHierarchy(name string, domain []string, levelMaps []map[string]string) (Hierarchy, error) {
-	return hierarchy.NewLevelled(name, domain, levelMaps)
-}
-
 // Columnar encoded substrate (the fast path everything computes on).
 type (
 	// EncodedTable is the dictionary-encoded columnar view of a Table:
 	// per-attribute value dictionaries plus dense per-column code slices,
 	// built once and shared read-only.
 	EncodedTable = table.Encoded
-	// Dict is one column's value ↔ code dictionary.
-	Dict = table.Dict
-	// CompiledHierarchy is a hierarchy lowered to per-level code lookup
-	// tables over one column's dictionary.
-	CompiledHierarchy = hierarchy.Compiled
-	// CompiledHierarchies maps attribute names to compiled hierarchies.
+	// CompiledHierarchies maps attribute names to hierarchies lowered to
+	// per-level code lookup tables over the columns' dictionaries.
 	CompiledHierarchies = hierarchy.CompiledSet
 )
-
-// TableAppendDelta reports what one EncodedTable.Append changed: where
-// the appended rows start and which dictionary codes each column gained.
-type TableAppendDelta = table.AppendDelta
 
 // EncodeTable builds the columnar dictionary-encoded view of a table in
 // one pass. Decoding always reproduces the exact original strings. The
@@ -118,8 +91,6 @@ type (
 	// Bucketization is a partition of tuples with per-bucket
 	// sensitive-value histograms.
 	Bucketization = bucket.Bucketization
-	// Bucket is one block of the partition.
-	Bucket = bucket.Bucket
 	// Levels assigns a generalization level per attribute name.
 	Levels = bucket.Levels
 )
@@ -129,9 +100,10 @@ type (
 func FromValues(groups ...[]string) *Bucketization { return bucket.FromValues(groups...) }
 
 // Bucketize partitions a table by its quasi-identifiers generalized to the
-// given levels (missing attributes stay at level 0). This is the
-// row-by-row string-path reference; BucketizeEncoded computes the
-// byte-identical result over an encoded view.
+// given levels (missing attributes stay at level 0). It is a one-shot
+// row-by-row scan that needs no nesting law of the hierarchies, and the
+// reference the encoded paths are tested against; BucketizeEncoded
+// computes the byte-identical result over an encoded view.
 func Bucketize(t *Table, hs Hierarchies, levels Levels) (*Bucketization, error) {
 	return bucket.FromGeneralization(t, hs, levels)
 }
@@ -151,20 +123,12 @@ func BucketizeEncodedSharded(enc *EncodedTable, chs CompiledHierarchies, levels 
 	return bucket.FromGeneralizationEncodedSharded(enc, chs, levels, shards, parallel.NewPool(shards))
 }
 
-// CoarsenBucketization derives the bucketization at coarser levels from
-// an already-materialized finer one of the same encoded table, merging
-// buckets instead of rescanning rows. The fine bucketization's levels
-// must be component-wise ≤ the requested ones.
-func CoarsenBucketization(fine *Bucketization, enc *EncodedTable, chs CompiledHierarchies, levels Levels) (*Bucketization, error) {
-	return bucket.Coarsen(fine, enc, chs, levels)
-}
-
 // ExtendBucketization patches a bucketization of the table's first start
 // rows with the rows appended since: only rows [start, enc.Rows()) are
 // re-keyed and merged, copy-on-write, in O(appended + buckets). The
 // result is byte-identical to BucketizeEncoded on the grown table. enc
-// and chs must reflect the post-append state (EncodedTable.Append plus
-// CompiledHierarchy.Extend for columns that gained values).
+// and chs must reflect the post-append state (EncodedTable.Append, and
+// the compiled hierarchies extended over columns that gained values).
 func ExtendBucketization(old *Bucketization, enc *EncodedTable, chs CompiledHierarchies, levels Levels, start int) (*Bucketization, error) {
 	return bucket.AppendRows(old, enc, chs, levels, start)
 }
@@ -174,37 +138,13 @@ type (
 	// Engine memoizes disclosure computations across calls in a sharded,
 	// byte-bounded, evicting MINIMIZE1 memo.
 	Engine = core.Engine
-	// EngineConfig tunes an Engine's memo capacity and shard count.
-	EngineConfig = core.EngineConfig
-	// EngineCacheStats snapshots a memo's hits, misses, evictions and
-	// resident size.
-	EngineCacheStats = core.CacheStats
 	// DisclosureOptions tunes MaxDisclosure variants.
 	DisclosureOptions = core.Options
-	// Witness is an explicit worst-case knowledge formula.
-	Witness = core.Witness
-	// NegationWitness is a worst-case set of negated atoms.
-	NegationWitness = core.NegationWitness
-	// Risk is one entry of a per-target risk profile.
-	Risk = core.Risk
-	// WeightFunc assigns sensitivity weights to sensitive values for
-	// cost-based disclosure.
-	WeightFunc = core.WeightFunc
 )
 
-// ConstWeight weights every sensitive value equally.
-func ConstWeight(w float64) WeightFunc { return core.ConstWeight(w) }
-
-// DefaultMemoMaxBytes is the default engine memo capacity (64 MiB).
-const DefaultMemoMaxBytes = core.DefaultMemoMaxBytes
-
-// NewEngine returns an empty disclosure engine with the default memo bound.
+// NewEngine returns an empty disclosure engine with the default memo bound
+// (64 MiB).
 func NewEngine() *Engine { return core.NewEngine() }
-
-// NewEngineWithConfig returns an empty disclosure engine with an explicit
-// memo byte bound and shard count (zero fields mean the defaults; a
-// negative MemoMaxBytes disables the bound).
-func NewEngineWithConfig(cfg EngineConfig) *Engine { return core.NewEngineWithConfig(cfg) }
 
 // MaxDisclosure computes the maximum disclosure of the bucketization with
 // respect to k basic implications of background knowledge (Definition 6),
@@ -217,21 +157,10 @@ func NegationMaxDisclosure(bz *Bucketization, k int) (float64, error) {
 	return core.NegationMaxDisclosure(bz, k)
 }
 
-// ExactNegationMaxDisclosure is NegationMaxDisclosure in exact rational
-// arithmetic (see Engine.ExactMaxDisclosure and Engine.IsCKSafeExact for
-// the implication-language counterparts).
-func ExactNegationMaxDisclosure(bz *Bucketization, k int) (*big.Rat, error) {
-	return core.ExactNegationMaxDisclosure(bz, k)
-}
-
 // Knowledge language.
 type (
 	// Atom is the formula t_p[S] = s.
 	Atom = logic.Atom
-	// BasicImplication is (∧ atoms) → (∨ atoms).
-	BasicImplication = logic.BasicImplication
-	// SimpleImplication is atom → atom.
-	SimpleImplication = logic.SimpleImplication
 	// Conjunction is a conjunction of basic implications (a sentence of
 	// L^k_basic when it has k conjuncts).
 	Conjunction = logic.Conjunction
@@ -257,9 +186,6 @@ type (
 	WorldsBucket = worlds.Bucket
 	// BruteOptions bounds the oracle's exponential searches.
 	BruteOptions = worlds.BruteOptions
-	// Estimate is a Monte-Carlo conditional-probability estimate for one
-	// specific knowledge formula (exact evaluation is #P-complete).
-	Estimate = worlds.Estimate
 )
 
 // NewWorldsInstance validates and builds an exact-oracle instance.
@@ -273,23 +199,9 @@ func WorldsFromBucketization(bz *Bucketization, name func(int) string) (WorldsIn
 	return worlds.FromBucketization(bz, name)
 }
 
-// Privacy criteria.
-type (
-	// Criterion is a monotone predicate over bucketizations.
-	Criterion = privacy.Criterion
-	// KAnonymity requires buckets of size at least K.
-	KAnonymity = privacy.KAnonymity
-	// DistinctLDiversity requires L distinct sensitive values per bucket.
-	DistinctLDiversity = privacy.DistinctLDiversity
-	// EntropyLDiversity requires bucket entropy at least ln L.
-	EntropyLDiversity = privacy.EntropyLDiversity
-	// RecursiveCLDiversity is recursive (c,ℓ)-diversity.
-	RecursiveCLDiversity = privacy.RecursiveCLDiversity
-	// CKSafety is the paper's Definition 13.
-	CKSafety = privacy.CKSafety
-	// NegationCKSafety bounds disclosure against negated atoms only.
-	NegationCKSafety = privacy.NegationCKSafety
-)
+// CKSafety is the paper's Definition 13, the privacy criterion the
+// lattice searches enforce.
+type CKSafety = privacy.CKSafety
 
 // Lattice search.
 type (
@@ -297,13 +209,12 @@ type (
 	// quasi-identifiers.
 	Problem = anonymize.Problem
 	// ProblemOptions configures a Problem: search worker budget, per-scan
-	// shard budget, disclosure-memo bound, engine injection. Build from
-	// DefaultProblemOptions and override fields.
+	// shard budget, and the disclosure engine to inject (nil means a fresh
+	// one with the default memo bound). Build from DefaultProblemOptions
+	// and override fields.
 	ProblemOptions = anonymize.Options
 	// Node is a generalization level per quasi-identifier.
 	Node = lattice.Node
-	// Space is the full-domain generalization lattice.
-	Space = lattice.Space
 	// SearchStats reports search effort.
 	SearchStats = lattice.Stats
 )
@@ -313,7 +224,11 @@ type (
 func DefaultProblemOptions() ProblemOptions { return anonymize.DefaultOptions() }
 
 // NewProblem validates an anonymization task under DefaultProblemOptions;
-// qi fixes the lattice's dimension order.
+// qi fixes the lattice's dimension order. Every hierarchy naming a table
+// column must compile over that column's values: at least one level,
+// every value covered, and levels that are nested coarsenings (the law the
+// lattice searches' pruning rests on). Otherwise NewProblem returns an
+// error naming the attribute.
 func NewProblem(t *Table, hs Hierarchies, qi []string) (*Problem, error) {
 	return anonymize.NewProblem(t, hs, qi)
 }
@@ -330,27 +245,6 @@ func NewProblem(t *Table, hs Hierarchies, qi []string) (*Problem, error) {
 func NewProblemWithOptions(t *Table, hs Hierarchies, qi []string, o ProblemOptions) (*Problem, error) {
 	return anonymize.NewProblemWithOptions(t, hs, qi, o)
 }
-
-// ProblemEncoding describes a problem's columnar state (whether the
-// encoded path is active and the per-attribute dictionary cardinalities).
-type ProblemEncoding = anonymize.EncodingInfo
-
-// ProblemSnapshot is one pinned version of a Problem: every Bucketize
-// and search on it computes over exactly the rows, dictionaries and warm
-// caches of that version, regardless of concurrent Appends. Obtain one
-// with Problem.Snapshot.
-type ProblemSnapshot = anonymize.Snapshot
-
-// ProblemAppendResult reports what one Problem.Append changed: the new
-// version, where the appended rows start, per-attribute new dictionary
-// codes, and how many warm cache entries were patched vs invalidated.
-type ProblemAppendResult = anonymize.AppendResult
-
-// SweepStats snapshots a Problem's cumulative sweep-planner counters:
-// planned sweeps and DAG nodes, how each node was materialized (base
-// scan, coarsened, reused), and the cost model's predicted vs actual
-// bucket counts. Obtain one with Problem.SweepStats.
-type SweepStats = anonymize.SweepStats
 
 // ArenaStats reports the process-wide coarsening-arena pool counters:
 // how many scratch arenas were borrowed in total and how many of those
@@ -430,8 +324,6 @@ type (
 	GridConfig = experiments.GridConfig
 	// GridResult holds the sweep; Cells[i][j] is the (Cs[i], Ks[j]) cell.
 	GridResult = experiments.GridResult
-	// GridCell is one (c,k) policy's outcome.
-	GridCell = experiments.GridCell
 )
 
 // RunSafetyGrid finds, for every (c,k) on the grid, the lowest safe node on
@@ -453,66 +345,9 @@ type (
 	// concurrency gate and the job queue. The zero value uses the
 	// documented defaults.
 	ServerConfig = server.Config
-	// JobState is an asynchronous anonymization job's lifecycle state.
-	JobState = server.JobState
 )
 
 // NewServer builds the serving subsystem and starts its job workers; mount
 // it with Server.Handler and drain it with Server.Shutdown (cmd/ckprivacyd
 // does both behind SIGTERM handling).
 func NewServer(cfg ServerConfig) *Server { return server.New(cfg) }
-
-// Durability (the daemon's crash-safe persistence layer).
-type (
-	// Store owns a data directory of per-dataset columnar snapshots and
-	// append-only WALs. Set it on ServerConfig.Store to persist every
-	// registration, append and release; call Server.RecoverAll before
-	// serving to reload them (cmd/ckprivacyd wires both behind -data-dir).
-	Store = store.Manager
-	// StoreOptions configures a Store: the data directory, whether WAL
-	// commits fsync, and the WAL size past which compaction is suggested.
-	StoreOptions = store.Options
-)
-
-// Durable-store error sentinels, matched with errors.Is.
-var (
-	// ErrStoreCorrupt marks on-disk state that fails validation — a CRC
-	// mismatch on a complete record or section, a bad magic, a WAL with no
-	// snapshot to replay onto. Torn tails from a crash are NOT corrupt;
-	// they are truncated and recovery proceeds.
-	ErrStoreCorrupt = store.ErrCorrupt
-	// ErrStoreFormatVersion marks a snapshot or WAL written by a newer
-	// format version than this build understands.
-	ErrStoreFormatVersion = store.ErrFormatVersion
-)
-
-// OpenStore validates the data directory (creating it if absent) and
-// returns the durable store over it.
-func OpenStore(opts StoreOptions) (*Store, error) { return store.Open(opts) }
-
-// Replication (follower replicas over the durable store).
-type (
-	// Follower replicates a leader daemon's datasets into a local
-	// read-only Server: snapshot bootstrap over HTTP, continuous WAL
-	// tailing, byte-identical apply through the replay path, and lag
-	// reporting. Build the local Server with ServerConfig.ReadOnly and
-	// run the Follower alongside its listener (cmd/ckprivacyd wires both
-	// behind -follow).
-	Follower = replica.Follower
-	// FollowerOptions configures a Follower: the leader URL, the local
-	// server, polling/long-poll cadence and retry backoff.
-	FollowerOptions = replica.Options
-	// ReplicaProgress is a follower dataset's replication position as
-	// surfaced on /v1/datasets and /metrics.
-	ReplicaProgress = server.ReplicaProgress
-)
-
-// ErrReplicaDiverged marks a fatal replication failure: an applied WAL
-// record did not reproduce the version or release index it names, so the
-// follower stops serving the dataset rather than expose divergent state.
-// Matched with errors.Is.
-var ErrReplicaDiverged = server.ErrReplicaDiverged
-
-// NewFollower validates options and builds a Follower; call Run with a
-// cancellable context to start replicating.
-func NewFollower(opts FollowerOptions) (*Follower, error) { return replica.New(opts) }

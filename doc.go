@@ -10,8 +10,8 @@
 //     on top of full identification information), what is the worst-case
 //     probability the attacker can assign to any "person p has sensitive
 //     value s" fact? MaxDisclosure computes this in O(|B|·k³) time via the
-//     paper's MINIMIZE1/MINIMIZE2 dynamic programs, and Witness returns an
-//     explicit worst-case knowledge formula.
+//     paper's MINIMIZE1/MINIMIZE2 dynamic programs, and Engine.Witness
+//     returns an explicit worst-case knowledge formula.
 //
 //  2. Enforcing: among all full-domain generalizations of a table, find the
 //     minimally sanitized ones whose maximum disclosure stays below a
@@ -40,29 +40,33 @@
 // bucket histogram — the values for every atom count up to the largest
 // requested — fetched once per bucket per call before a flat MINIMIZE2
 // pass. The memo is a sharded cache keyed by a 64-bit fingerprint of the
-// histogram, byte-bounded (EngineConfig.MemoMaxBytes, default 64 MiB) with
-// CLOCK second-chance eviction and per-shard in-flight deduplication, so a
-// long-lived engine serving many datasets plateaus in memory while racing
-// workers compute each missing series exactly once. Eviction only ever
-// costs recomputation: disclosure values are byte-identical at every
-// capacity.
+// histogram, byte-bounded (64 MiB by default) with CLOCK second-chance
+// eviction and per-shard in-flight deduplication, so a long-lived engine
+// serving many datasets plateaus in memory while racing workers compute
+// each missing series exactly once. Eviction only ever costs
+// recomputation: disclosure values are byte-identical at every capacity.
 //
 // Everything bucketization-heavy computes on a columnar substrate: a
 // table is dictionary-encoded once (EncodeTable — per-attribute value
 // dictionaries plus dense uint32 code columns), hierarchies are compiled
 // to per-level code lookup tables (CompileHierarchies), and bucketization
 // becomes integer array work — packed integer group keys and code-space
-// histograms (BucketizeEncoded), with coarser lattice nodes derived from
-// finer materialized ones by merging buckets instead of rescanning rows
-// (CoarsenBucketization). NewProblem builds this state once per problem
-// and its searches use it transparently, planning every bucketization
-// they need as a derivation DAG over the lattice. The string path
-// (Bucketize) remains the reference implementation, and the two are
-// byte-identical — same bucket keys, tuple order, histograms, search
-// results and disclosure values — under randomized parity tests. A
-// problem whose hierarchies do not compile over its table (a custom
-// hierarchy violating the nested-coarsening law, or a value outside its
-// hierarchy) runs on the string path, the only one correct there.
+// histograms (BucketizeEncoded). NewProblem builds this state once per
+// problem and its searches use it transparently, planning every
+// bucketization they need as a derivation DAG over the lattice, with
+// coarser nodes derived from finer materialized ones by merging buckets
+// instead of rescanning rows. The row-by-row scan (Bucketize) remains the
+// one-shot reference, and the two are byte-identical — same bucket keys,
+// tuple order, histograms, search results and disclosure values — under
+// randomized parity tests.
+//
+// NewProblem is also where the input contract is checked: every
+// hierarchy must compile over its column's values, which means at least
+// one level, every table value covered, and levels that are nested
+// coarsenings. The lattice searches' pruning (Theorem 14's monotonicity,
+// Incognito's subset pruning) is only sound under that law, so a custom
+// hierarchy violating it, or a value outside its hierarchy, is an error
+// naming the attribute rather than an input some other path serves.
 //
 // Data streams in rather than arriving once: EncodedTable.Append grows
 // the dictionaries and code columns in place, and Problem.Append patches

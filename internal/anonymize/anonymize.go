@@ -4,14 +4,14 @@
 // (§3.4 of the paper) via naive monotone search, Incognito, or chain binary
 // search, and ranks results by a utility metric.
 //
-// There is one production path. Every search runs the lattice package's
-// batch form, and on the encoded substrate every bucketization is built by
+// There is one production path. NewProblem encodes the table and compiles
+// every hierarchy over its columns, and rejects the inputs when a
+// hierarchy does not compile: a non-nested custom hierarchy (the lattice
+// searches are only sound under the nested-coarsening law), a table value
+// outside its hierarchy, or a hierarchy with no levels. Every search runs
+// the lattice package's batch form, and every bucketization is built by
 // the sweep planner (plan.go, sweep.go): a search frontier is one planned
-// sweep and a lone cache miss is a one-node sweep. Only when the
-// hierarchies do not compile over the table (a non-nested custom
-// hierarchy, or a value outside its hierarchy) does the problem run the
-// row-by-row string scan instead; the input picks that path, not an
-// option.
+// sweep and a lone cache miss is a one-node sweep.
 //
 // A Problem is versioned: Append streams new rows into it, patching the
 // warm bucketization cache incrementally, while Snapshot pins one version
@@ -34,21 +34,18 @@ import (
 	"ckprivacy/internal/utility"
 )
 
-// state is one immutable version of a problem's data: a pinned row view,
-// the (optional) columnar substrate at that version, and the warm caches
-// built over it. Append never mutates a state — it builds the successor
-// and swaps the problem's current-state pointer, so every Snapshot keeps
-// computing on exactly the version it pinned.
+// state is one immutable version of a problem's data: the columnar
+// substrate pinned at that version and the warm caches built over it.
+// Append never mutates a state — it builds the successor and swaps the
+// problem's current-state pointer, so every Snapshot keeps computing on
+// exactly the version it pinned.
 type state struct {
 	// version numbers the states, starting at 1 for the freshly built
 	// problem and incremented by every non-empty Append.
 	version int64
-	// tab is the pinned row view: exactly the rows of this version, backed
-	// by (a prefix of) the master table's storage.
-	tab *table.Table
-	// enc and compiled are the columnar substrate pinned at this version;
-	// nil when the hierarchies do not compile and the problem runs the
-	// string path.
+	// enc is the pinned columnar view (its Table is exactly the rows of
+	// this version, backed by a prefix of the master's storage); compiled
+	// are the hierarchies lowered onto its dictionaries.
 	enc      *table.Encoded
 	compiled hierarchy.CompiledSet
 	// cache holds the version's materialized bucketizations; sources
@@ -79,9 +76,9 @@ type Problem struct {
 	// makes the node×shard nesting deadlock-free (see parallel.Pool).
 	shardPool *parallel.Pool
 
-	// master is the append-only encoded view shared by all versions; nil
-	// when the problem runs the string path. appendMu serializes
-	// Append; cur is the atomically swapped current version.
+	// master is the append-only encoded view shared by all versions.
+	// appendMu serializes Append; cur is the atomically swapped current
+	// version.
 	master   *table.Encoded
 	appendMu sync.Mutex
 	cur      atomic.Pointer[state]
@@ -117,19 +114,15 @@ type Options struct {
 	// byte-identical at every setting.
 	ShardWorkers int
 
-	// MemoMaxBytes bounds the problem-scoped disclosure engine's MINIMIZE1
-	// memo (see core.EngineConfig.MemoMaxBytes): 0 means the core default,
-	// negative disables the bound. The engine is what Engine returns;
-	// callers wiring their own engines into criteria are unaffected.
-	MemoMaxBytes int64
-
-	// Engine injects a fully configured (or shared) disclosure engine as
-	// the problem-scoped engine, overriding MemoMaxBytes.
+	// Engine injects a configured (or shared) disclosure engine as the
+	// problem-scoped engine; nil means a fresh core.NewEngine with the
+	// default memo bound.
 	Engine *core.Engine
 }
 
 // DefaultOptions returns the options NewProblem uses: serial lattice
-// search, single-threaded scans, default memo bound.
+// search, single-threaded scans, a fresh engine with the default memo
+// bound.
 func DefaultOptions() Options {
 	return Options{Workers: 1, ShardWorkers: 1}
 }
@@ -148,13 +141,38 @@ func NewProblem(t *table.Table, hs hierarchy.Set, qi []string) (*Problem, error)
 	return NewProblemWithOptions(t, hs, qi, DefaultOptions())
 }
 
-// newProblemCore validates the inputs and builds a Problem with its
-// lattice space, engine and shard pool — everything except the versioned
-// state, which the two constructors (fresh encode vs. recovered encoding)
-// wire differently.
-func newProblemCore(t *table.Table, hs hierarchy.Set, qi []string, o Options) (*Problem, error) {
+// NewProblemWithOptions is NewProblem with the configuration spelled out
+// as a struct. It encodes the table once (every bucketization, search and
+// serving request on the problem reuses the columnar view) and builds the
+// problem over it at version 1, exactly as NewProblemFromEncoded does. It
+// returns an error naming the attribute when a hierarchy does not compile
+// over the table's values.
+func NewProblemWithOptions(t *table.Table, hs hierarchy.Set, qi []string, o Options) (*Problem, error) {
+	if t == nil {
+		return nil, fmt.Errorf("anonymize: empty table")
+	}
+	return NewProblemFromEncoded(t.Encode(), hs, qi, 1, o)
+}
+
+// NewProblemFromEncoded builds a problem directly over an existing master
+// encoded view, resuming at the given dataset version; the view becomes
+// the problem's master and its Table the problem's Table. It is the one
+// constructor body: NewProblemWithOptions calls it on a fresh encoding at
+// version 1, and the durable store's warm boot calls it on a view rebuilt
+// from a columnar snapshot (table.NewEncodedFromParts, then extended by
+// WAL replay) so versioned clients see no reset across a restart.
+//
+// Every hierarchy in hs that names a table column must compile over that
+// column's dictionary (hierarchy.Compile): at least one level, every
+// value covered, levels nested coarsenings. Otherwise the problem is
+// rejected with the compile error.
+func NewProblemFromEncoded(enc *table.Encoded, hs hierarchy.Set, qi []string, version int64, o Options) (*Problem, error) {
+	t := enc.Table
 	if t == nil || t.Len() == 0 {
 		return nil, fmt.Errorf("anonymize: empty table")
+	}
+	if version < 1 {
+		return nil, fmt.Errorf("anonymize: version %d < 1", version)
 	}
 	if len(qi) == 0 {
 		return nil, fmt.Errorf("anonymize: no quasi-identifiers")
@@ -172,6 +190,10 @@ func newProblemCore(t *table.Table, hs hierarchy.Set, qi []string, o Options) (*
 	if err != nil {
 		return nil, fmt.Errorf("anonymize: %w", err)
 	}
+	chs, err := bucket.CompileHierarchies(enc, hs)
+	if err != nil {
+		return nil, fmt.Errorf("anonymize: %w", err)
+	}
 	space, err := lattice.NewSpace(dims)
 	if err != nil {
 		return nil, fmt.Errorf("anonymize: %w", err)
@@ -182,111 +204,33 @@ func newProblemCore(t *table.Table, hs hierarchy.Set, qi []string, o Options) (*
 		QI:          append([]string(nil), qi...),
 		space:       space,
 		opts:        o.resolved(),
+		engine:      o.Engine,
+		master:      enc,
 	}
-	p.engine = p.opts.Engine
 	if p.engine == nil {
-		p.engine = core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: p.opts.MemoMaxBytes})
+		p.engine = core.NewEngine()
 	}
 	if p.opts.ShardWorkers > 1 {
 		p.shardPool = parallel.NewPool(p.opts.ShardWorkers)
 	}
-	return p, nil
-}
-
-// NewProblemWithOptions is NewProblem with the configuration spelled out
-// as a struct.
-func NewProblemWithOptions(t *table.Table, hs hierarchy.Set, qi []string, o Options) (*Problem, error) {
-	p, err := newProblemCore(t, hs, qi, o)
-	if err != nil {
-		return nil, err
-	}
-	// The version-1 row view is pinned ([:n:n]) on every path — including
-	// the string one — so a snapshot taken before the first Append can
-	// never observe rows the master table grows by.
-	st := &state{
-		version: 1,
-		tab:     &table.Table{Schema: t.Schema, Rows: t.Rows[:len(t.Rows):len(t.Rows)]},
-		cache:   newBucketizeCache(),
-	}
-	// Encode once per problem; every bucketization, search and serving
-	// request on this problem reuses the columnar view. Compilation fails
-	// when a hierarchy violates the nested-coarsening law or a table value
-	// is unknown to its hierarchy — the latter the same inputs the string
-	// path rejects lazily at Bucketize time — so those inputs run the
-	// string path, which is correct on them.
-	enc := t.Encode()
-	if chs, err := bucket.CompileHierarchies(enc, hs); err == nil {
-		p.master = enc
-		st.enc = enc.Snapshot()
-		st.tab = st.enc.Table
-		st.compiled = chs
-		st.sources = &coarsenIndex{}
-	}
-	p.cur.Store(st)
-	return p, nil
-}
-
-// NewProblemFromEncoded builds a problem directly over an existing master
-// encoded view, resuming at the given dataset version. It is the durable
-// store's warm-boot path: the view (rebuilt from a columnar snapshot via
-// table.NewEncodedFromParts, then extended by WAL replay) becomes the
-// problem's master without re-encoding the rows, and version restores the
-// PR-5 counter so versioned clients see no reset across a restart. Unlike
-// NewProblemWithOptions, hierarchy compilation failure is an error here —
-// a dataset persisted from the encoded path must recover onto it.
-func NewProblemFromEncoded(enc *table.Encoded, hs hierarchy.Set, qi []string, version int64, o Options) (*Problem, error) {
-	t := enc.Table
-	if t == nil || t.Len() == 0 {
-		return nil, fmt.Errorf("anonymize: empty table")
-	}
-	if version < 1 {
-		return nil, fmt.Errorf("anonymize: version %d < 1", version)
-	}
-	p, err := newProblemCore(t, hs, qi, o)
-	if err != nil {
-		return nil, err
-	}
-	chs, err := bucket.CompileHierarchies(enc, hs)
-	if err != nil {
-		return nil, fmt.Errorf("anonymize: recovered encoding does not compile: %w", err)
-	}
-	p.master = enc
-	st := &state{
+	// The version's view is pinned (a snapshot, len == cap), so a
+	// Snapshot taken before the first Append never observes rows the
+	// master grows by.
+	p.cur.Store(&state{
 		version:  version,
 		enc:      enc.Snapshot(),
 		compiled: chs,
 		cache:    newBucketizeCache(),
 		sources:  &coarsenIndex{},
-	}
-	st.tab = st.enc.Table
-	p.cur.Store(st)
+	})
 	return p, nil
 }
 
-// EncodingInfo describes a problem's columnar state.
-type EncodingInfo struct {
-	// Enabled reports whether the dictionary-encoded path is active.
-	Enabled bool
-	// Cardinalities is the per-attribute dictionary size (distinct ground
-	// values), keyed by attribute name; nil when Enabled is false.
-	Cardinalities map[string]int
-}
-
-// Encoding reports whether the problem computes on the encoded substrate
-// and, if so, the current version's per-attribute dictionary
-// cardinalities.
-func (p *Problem) Encoding() EncodingInfo {
-	st := p.cur.Load()
-	if st.enc == nil {
-		return EncodingInfo{}
-	}
-	return EncodingInfo{Enabled: true, Cardinalities: st.enc.Cardinalities()}
-}
-
-// Engine returns the problem-scoped disclosure engine: a bounded,
-// concurrency-safe MINIMIZE1 memo sized by Options.MemoMaxBytes that callers
-// should wire into (c,k)-safety criteria checked against this problem, so
-// lattice searches share warm DP state without growing without bound.
+// Engine returns the problem-scoped disclosure engine (Options.Engine, or
+// a fresh default one): a bounded, concurrency-safe MINIMIZE1 memo that
+// callers should wire into (c,k)-safety criteria checked against this
+// problem, so lattice searches share warm DP state without growing
+// without bound.
 // The engine spans versions — its memo is keyed by histogram content, so
 // appends never require invalidating it.
 func (p *Problem) Engine() *core.Engine { return p.engine }
@@ -311,7 +255,7 @@ func (p *Problem) CacheStats() CacheStats { return p.cur.Load().cache.stats() }
 func (p *Problem) Version() int64 { return p.cur.Load().version }
 
 // Rows returns the current version's row count.
-func (p *Problem) Rows() int { return p.cur.Load().tab.Len() }
+func (p *Problem) Rows() int { return p.cur.Load().enc.Table.Len() }
 
 // NodeForLevels converts a per-attribute level assignment into a lattice
 // node in the problem's QI order. Attributes absent from levels stay at
@@ -369,18 +313,18 @@ type Snapshot struct {
 func (s *Snapshot) Version() int64 { return s.st.version }
 
 // Rows returns the pinned version's row count.
-func (s *Snapshot) Rows() int { return s.st.tab.Len() }
+func (s *Snapshot) Rows() int { return s.st.enc.Table.Len() }
 
 // Table returns the pinned row view. It never changes, even while the
 // problem's master table grows.
-func (s *Snapshot) Table() *table.Table { return s.st.tab }
+func (s *Snapshot) Table() *table.Table { return s.st.enc.Table }
 
 // Problem returns the problem the snapshot was taken from.
 func (s *Snapshot) Problem() *Problem { return s.p }
 
-// Encoded returns the pinned columnar view of this version, or nil when
-// the problem runs the string path. The view is immutable; the
-// durable store serializes its dictionaries and code columns directly.
+// Encoded returns the pinned columnar view of this version. The view is
+// immutable; the durable store serializes its dictionaries and code
+// columns directly.
 func (s *Snapshot) Encoded() *table.Encoded { return s.st.enc }
 
 // Bucketize materializes the bucketization at a lattice node. Attributes
@@ -401,25 +345,15 @@ func (s *Snapshot) Bucketize(node lattice.Node) (*bucket.Bucketization, error) {
 // BucketizeSubset materializes the bucketization induced by a subset of the
 // QI dimensions at the given (subset-aligned) levels; the remaining QI
 // attributes are fully suppressed. Incognito's subset lattices are checked
-// through this path. On the encoded path a cache miss is a one-node
-// planned sweep, so the planner alone picks every derivation's source;
-// without an encoded view it runs the reference string scan.
+// through this path. A cache miss is a one-node planned sweep, so the
+// planner alone picks every derivation's source.
 func (s *Snapshot) BucketizeSubset(subset []int, node lattice.Node) (*bucket.Bucketization, error) {
-	levels, err := s.subsetLevels(subset, node)
-	if err != nil {
+	if _, err := s.subsetLevels(subset, node); err != nil {
 		return nil, err
 	}
 	st := s.st
 	key := cacheKey(subset, node)
 	if bz, ok := st.cache.get(key); ok {
-		return bz, nil
-	}
-	if st.enc == nil {
-		bz, err := bucket.FromGeneralization(st.tab, s.p.Hierarchies, levels)
-		if err != nil {
-			return nil, err
-		}
-		st.cache.put(key, bz, levels)
 		return bz, nil
 	}
 	// get already counted this call's miss; the sweep must not count it
@@ -434,9 +368,8 @@ func (s *Snapshot) BucketizeSubset(subset []int, node lattice.Node) (*bucket.Buc
 // subsetLevels expands a (subset, node) pair into the complete level
 // assignment it induces: subset dimensions at the node's levels, every
 // other QI — listed or schema-implied — at top-level suppression. Every
-// bucketization request, planned or string-path, is validated here: a
-// level outside its dimension's range is an error, never an index panic
-// further down.
+// bucketization request is validated here: a level outside its
+// dimension's range is an error, never an index panic further down.
 func (s *Snapshot) subsetLevels(subset []int, node lattice.Node) (bucket.Levels, error) {
 	p := s.p
 	if len(subset) != len(node) {
@@ -450,12 +383,13 @@ func (s *Snapshot) subsetLevels(subset []int, node lattice.Node) (bucket.Levels,
 		}
 		levels[name] = h.Levels() - 1 // suppress by default
 	}
-	// Any schema QI attribute outside p.QI must also be neutralized;
-	// FromGeneralization groups by every non-sensitive attribute, so give
-	// them top-level suppression too when a hierarchy exists, and reject
+	// Any schema QI attribute outside p.QI must also be neutralized: a
+	// bucketization groups by every non-sensitive attribute, so give them
+	// top-level suppression too when a hierarchy exists, and reject
 	// otherwise.
-	for _, col := range s.st.tab.Schema.QuasiIdentifiers() {
-		name := s.st.tab.Schema.Attrs[col].Name
+	schema := s.st.enc.Table.Schema
+	for _, col := range schema.QuasiIdentifiers() {
+		name := schema.Attrs[col].Name
 		if _, listed := levels[name]; listed {
 			continue
 		}
@@ -493,7 +427,7 @@ func (s *Snapshot) scanShards() int {
 	if shards <= 1 {
 		return 1
 	}
-	if byRows := s.st.tab.Len() / minRowsPerShard; byRows < shards {
+	if byRows := s.st.enc.Table.Len() / minRowsPerShard; byRows < shards {
 		shards = byRows
 	}
 	if shards < 1 {
@@ -563,10 +497,8 @@ func (s *Snapshot) BestByUtility(nodes []lattice.Node, m utility.Metric) (int, *
 	// The candidates are one frontier: materialize them as a planned batch
 	// before ranking (usually they are cached from the search that produced
 	// them, in which case this is a no-op).
-	if prefetch := s.nodePrefetch(); prefetch != nil {
-		if err := prefetch(nodes); err != nil {
-			return -1, nil, err
-		}
+	if err := s.nodePrefetch()(nodes); err != nil {
+		return -1, nil, err
 	}
 	bzs := make([]*bucket.Bucketization, len(nodes))
 	err := parallel.ForEach(s.p.opts.Workers, len(nodes), func(i int) error {

@@ -19,15 +19,13 @@ type AppendResult struct {
 	// Appended is the number of rows the batch added.
 	Appended int
 	// NewCodes counts the dictionary codes each attribute gained, keyed by
-	// attribute name; attributes absent saw no new values. Nil on the
-	// legacy string path, which keeps no dictionaries.
+	// attribute name; attributes absent saw no new values.
 	NewCodes map[string]int
 	// PatchedNodes counts warm cache entries refreshed in place by the
 	// incremental bucketization update.
 	PatchedNodes int
 	// InvalidatedNodes counts warm cache entries that had to be dropped
-	// (rebuilt lazily on next use) instead of patched — always the whole
-	// cache on the legacy path.
+	// (rebuilt lazily on next use) instead of patched.
 	InvalidatedNodes int
 }
 
@@ -39,17 +37,16 @@ type AppendResult struct {
 // version; calls made after Append see the grown dataset. Appends are
 // serialized with each other but never block snapshot readers.
 //
-// The batch is validated (schema and, on the encoded path, hierarchy
-// coverage of every new value) before anything mutates, so a rejected
-// batch leaves the problem exactly as it was. The disclosure-engine memo
-// needs no maintenance: it is keyed by histogram content, not by dataset
-// version.
+// The batch is validated (schema and hierarchy coverage of every new
+// value) before anything mutates, so a rejected batch leaves the problem
+// exactly as it was. The disclosure-engine memo needs no maintenance: it
+// is keyed by histogram content, not by dataset version.
 func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
 	old := p.cur.Load()
 	if len(rows) == 0 {
-		return AppendResult{Version: old.version, Start: old.tab.Len(), Rows: old.tab.Len()}, nil
+		return AppendResult{Version: old.version, Start: old.enc.Table.Len(), Rows: old.enc.Table.Len()}, nil
 	}
 	// Schema validation runs first so malformed values are reported as
 	// schema errors; Encoded.Append will re-validate (it is public API
@@ -58,10 +55,6 @@ func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 	if err := p.validateRows(rows); err != nil {
 		return AppendResult{}, err
 	}
-	if p.master == nil {
-		return p.appendLegacy(old, rows)
-	}
-
 	// Extend the compiled hierarchies over the batch's new values before
 	// committing anything: a value the hierarchy cannot generalize must
 	// reject the whole batch, not leave the dictionaries half-grown.
@@ -104,7 +97,6 @@ func (p *Problem) Append(rows []table.Row) (AppendResult, error) {
 	})
 	p.cur.Store(&state{
 		version:  res.Version,
-		tab:      snap.Table,
 		enc:      snap,
 		compiled: newCompiled,
 		cache:    cache,
@@ -131,52 +123,6 @@ func (p *Problem) validateRows(rows []table.Row) error {
 		}
 	}
 	return nil
-}
-
-// appendLegacy is the string-path append: validated rows are added to the
-// master table, and the warm cache is dropped wholesale (there is no
-// encoded substrate to patch against). Hierarchy coverage is checked
-// first, like the encoded path's Extend: an append is irreversible, so a
-// schema-legal value no hierarchy can generalize must reject the batch
-// rather than permanently fail every later Bucketize of the dataset.
-func (p *Problem) appendLegacy(old *state, rows []table.Row) (AppendResult, error) {
-	s := p.Table.Schema
-	for name, h := range p.Hierarchies {
-		col := s.Index(name)
-		if col < 0 {
-			continue
-		}
-		checked := make(map[string]bool)
-		for i, r := range rows {
-			v := r[col]
-			if checked[v] {
-				continue
-			}
-			checked[v] = true
-			for l := 1; l < h.Levels(); l++ {
-				if _, err := h.Generalize(v, l); err != nil {
-					return AppendResult{}, fmt.Errorf("anonymize: append row %d: %w", i, err)
-				}
-			}
-		}
-	}
-	p.Table.Rows = append(p.Table.Rows, rows...)
-	n := len(p.Table.Rows)
-	res := AppendResult{
-		Version:          old.version + 1,
-		Start:            n - len(rows),
-		Rows:             n,
-		Appended:         len(rows),
-		InvalidatedNodes: old.cache.size(),
-	}
-	cache := newBucketizeCache()
-	cache.carryCounters(old.cache)
-	p.cur.Store(&state{
-		version: res.Version,
-		tab:     &table.Table{Schema: p.Table.Schema, Rows: p.Table.Rows[:n:n]},
-		cache:   cache,
-	})
-	return res, nil
 }
 
 // extendCompiled builds the next version's compiled-hierarchy set: for

@@ -154,56 +154,6 @@ func TestAppendParitySearches(t *testing.T) {
 	}
 }
 
-// TestAppendParityLegacyPath runs the append-parity property on the
-// string path (a non-nested hierarchy selects it): the cache is
-// invalidated wholesale, and results still match the string-scan oracle
-// on the concatenated table.
-func TestAppendParityLegacyPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	tab, hs, qi := nonNestedCase(rng)
-	cut := tab.Len() / 2
-	base := table.New(tab.Schema)
-	for _, r := range tab.Rows[:cut] {
-		base.MustAppend(r)
-	}
-	p, err := NewProblem(base.Clone(), hs, qi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Encoding().Enabled {
-		t.Fatal("fixture did not take the string path")
-	}
-	for _, node := range p.Space().All() {
-		if _, err := p.Bucketize(node); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warm := p.CacheStats().Entries
-	res, err := p.Append(tab.Rows[cut:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.InvalidatedNodes != warm || res.PatchedNodes != 0 {
-		t.Fatalf("legacy append result %+v, want %d invalidated", res, warm)
-	}
-	if p.CacheStats().Entries != 0 {
-		t.Fatalf("legacy append left %d cached entries", p.CacheStats().Entries)
-	}
-	o := newOracle(t, tab, hs, qi)
-	id := identitySubset(len(qi))
-	for _, node := range p.Space().All() {
-		want, err := o.bucketize(id, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := p.Bucketize(node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBZIdentity(t, want, got, fmt.Sprintf("legacy node %v", node))
-	}
-}
-
 // TestSnapshotPinsVersionAcrossAppend pins the copy-on-write contract at
 // the problem layer: a snapshot taken before an append keeps returning the
 // pre-append partition and version while the problem itself moves on.
@@ -273,9 +223,6 @@ func TestAppendRejectsUncoveredValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Encoding().Enabled {
-		t.Fatal("fixture did not take the encoded path")
-	}
 	node := p.Space().All()[0]
 	if _, err := p.Bucketize(node); err != nil {
 		t.Fatal(err)
@@ -296,88 +243,6 @@ func TestAppendRejectsUncoveredValue(t *testing.T) {
 	}
 	if res.Version != 2 || res.Rows != 3 || res.PatchedNodes != 1 {
 		t.Fatalf("append result %+v", res)
-	}
-}
-
-// TestLegacySnapshotPinnedAcrossAppend pins the version-1 view on the
-// string path: even without an encoded substrate, a snapshot taken
-// before the first append must keep its row count and partitions.
-func TestLegacySnapshotPinnedAcrossAppend(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	tab, hs, qi := nonNestedCase(rng)
-	cut := tab.Len() / 2
-	base := table.New(tab.Schema)
-	for _, r := range tab.Rows[:cut] {
-		base.MustAppend(r)
-	}
-	p, err := NewProblem(base, hs, qi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Encoding().Enabled {
-		t.Fatal("fixture did not take the string path")
-	}
-	snap := p.Snapshot()
-	node := p.Space().All()[0]
-	if _, err := snap.Bucketize(node); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Append(tab.Rows[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Version() != 1 || snap.Rows() != cut {
-		t.Fatalf("legacy snapshot drifted to version %d rows %d, want 1/%d",
-			snap.Version(), snap.Rows(), cut)
-	}
-	bz, err := snap.Bucketize(node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bz.Size() != cut {
-		t.Fatalf("legacy pinned snapshot bucketizes %d tuples, want %d", bz.Size(), cut)
-	}
-}
-
-// TestLegacyAppendRejectsUncoveredValue pins the string-path batch
-// atomicity: a schema-legal value no hierarchy can generalize must
-// reject the batch — committing it would permanently fail every later
-// Bucketize of the dataset.
-func TestLegacyAppendRejectsUncoveredValue(t *testing.T) {
-	s, err := table.NewSchema([]table.Attribute{
-		{Name: "q0", Kind: table.Categorical, Domain: []string{"a", "b", "c"}},
-		{Name: "City", Kind: table.Categorical, Domain: []string{"a", "b", "c"}},
-		{Name: "sens", Kind: table.Categorical, Domain: []string{"s0", "s1"}},
-	}, "sens")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The non-nested q0 hierarchy selects the string path; City's
-	// hierarchy covers only a and b.
-	hs := hierarchy.Set{
-		"q0":   nonNested{},
-		"City": hierarchy.NewSuppression("City", []string{"a", "b"}),
-	}
-	tab := table.New(s)
-	tab.MustAppend(table.Row{"a", "a", "s0"})
-	tab.MustAppend(table.Row{"b", "b", "s1"})
-	p, err := NewProblem(tab, hs, []string{"q0", "City"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Encoding().Enabled {
-		t.Fatal("fixture did not take the string path")
-	}
-	if _, err := p.Append([]table.Row{{"b", "a", "s1"}, {"a", "c", "s0"}}); err == nil {
-		t.Fatal("legacy append accepted a value outside the hierarchy")
-	}
-	if p.Version() != 1 || p.Rows() != 2 {
-		t.Fatalf("rejected legacy append mutated the problem: version %d rows %d", p.Version(), p.Rows())
-	}
-	// The dataset still bucketizes at every node afterwards.
-	for _, node := range p.Space().All() {
-		if _, err := p.Bucketize(node); err != nil {
-			t.Fatalf("node %v broken after rejected append: %v", node, err)
-		}
 	}
 }
 

@@ -28,7 +28,7 @@ type cacheEntry struct {
 // fast path (read of an existing entry) off a single global lock.
 //
 // Entries are immutable once stored: a racing put of the same key is
-// harmless because FromGeneralization is deterministic, so both values are
+// harmless because bucketization is deterministic, so both values are
 // interchangeable. Each cache belongs to one problem version; an append
 // builds the next version's cache by patching this one's entries rather
 // than mutating them (snapshots pinned on this version keep reading it).

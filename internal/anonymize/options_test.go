@@ -35,14 +35,14 @@ func hospitalOptions(t *testing.T, o Options) *Problem {
 // reports (including the problem-scoped engine), and that an injected
 // engine becomes the problem-scoped one.
 func TestOptionsResolution(t *testing.T) {
-	if d := DefaultOptions(); d.Workers != 1 || d.ShardWorkers != 1 || d.MemoMaxBytes != 0 || d.Engine != nil {
+	if d := DefaultOptions(); d.Workers != 1 || d.ShardWorkers != 1 || d.Engine != nil {
 		t.Fatalf("DefaultOptions() = %+v, want serial single-threaded defaults", d)
 	}
 
-	p := hospitalOptions(t, Options{Workers: 3, ShardWorkers: 4, MemoMaxBytes: 1 << 20})
+	p := hospitalOptions(t, Options{Workers: 3, ShardWorkers: 4})
 	got := p.Options()
-	if got.Workers != 3 || got.ShardWorkers != 4 || got.MemoMaxBytes != 1<<20 {
-		t.Fatalf("Options() = %+v, want workers 3, shards 4, memo 1MiB", got)
+	if got.Workers != 3 || got.ShardWorkers != 4 {
+		t.Fatalf("Options() = %+v, want workers 3, shards 4", got)
 	}
 	if got.Engine != p.Engine() || got.Engine == nil {
 		t.Fatal("Options().Engine is not the problem-scoped engine")
@@ -55,10 +55,10 @@ func TestOptionsResolution(t *testing.T) {
 	}
 
 	eng := core.NewEngine()
-	p = hospitalOptions(t, Options{Workers: 2, ShardWorkers: 5, MemoMaxBytes: -1, Engine: eng})
+	p = hospitalOptions(t, Options{Workers: 2, ShardWorkers: 5, Engine: eng})
 	got = p.Options()
-	if got.Workers != 2 || got.ShardWorkers != 5 || got.MemoMaxBytes != -1 || got.Engine != eng || p.Engine() != eng {
-		t.Fatalf("Options() = %+v, want {2 5 -1 %p}", got, eng)
+	if got.Workers != 2 || got.ShardWorkers != 5 || got.Engine != eng || p.Engine() != eng {
+		t.Fatalf("Options() = %+v, want {2 5 %p}", got, eng)
 	}
 }
 

@@ -73,7 +73,7 @@ func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 		if _, ok := st.cache.peek(key); ok {
 			continue
 		}
-		vec := levelVector(st.tab.Schema, levels)
+		vec := levelVector(st.enc.Table.Schema, levels)
 		vk := lattice.Node(vec).Key()
 		if i, ok := byVec[vk]; ok {
 			if !containsKey(nodes[i].keys, key) {
@@ -101,7 +101,7 @@ func (s *Snapshot) buildPlan(units []subsetNode) (*sweepPlan, error) {
 	})
 
 	sources := st.sources.snapshot()
-	rows := st.tab.Len()
+	rows := st.enc.Table.Len()
 	cards := s.levelCards()
 	for idx := range nodes {
 		pn := &nodes[idx]
@@ -204,7 +204,7 @@ func cardBound(cards [][]int, vec []int, rows int) int {
 // size at level 0 and the compiled hierarchy's level cardinality above.
 func (s *Snapshot) levelCards() [][]int {
 	st := s.st
-	schema := st.tab.Schema
+	schema := st.enc.Table.Schema
 	qi := schema.QuasiIdentifiers()
 	cards := make([][]int, len(qi))
 	for i, col := range qi {

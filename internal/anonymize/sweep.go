@@ -12,11 +12,11 @@ import (
 // This file executes the derivation DAGs plan.go builds: frontiers run in
 // ascending height order, each frontier evaluated as one batch on the
 // problem's worker budget, every non-root node coarsening from its
-// parent's result through a pooled bucket.Arena. It is the only place the
-// encoded path builds a bucketization: search frontiers arrive as
-// multi-node sweeps, a lone Bucketize miss as a one-node sweep. The
-// output is byte-identical to the reference string scan
-// (bucket.FromGeneralization) at every node — planning changes which
+// parent's result through a pooled bucket.Arena. It is the only place a
+// problem builds a bucketization: search frontiers arrive as multi-node
+// sweeps, a lone Bucketize miss as a one-node sweep. The output is
+// byte-identical to the reference string scan (bucket.FromGeneralization,
+// kept as a test oracle) at every node — planning changes which
 // source each derivation uses and when, never what it produces
 // (bucket.Coarsen's contract: any component-wise finer source yields the
 // identical bucketization).
@@ -180,11 +180,8 @@ func identitySubset(n int) []int {
 }
 
 // nodePrefetch adapts the planner to the full-node searches' frontier
-// hand-off; nil (no prefetch) on the string path, which has no planner.
+// hand-off.
 func (s *Snapshot) nodePrefetch() lattice.Prefetch {
-	if s.st.enc == nil {
-		return nil
-	}
 	id := identitySubset(len(s.p.QI))
 	return func(nodes []lattice.Node) error {
 		units := make([]subsetNode, len(nodes))
@@ -197,11 +194,8 @@ func (s *Snapshot) nodePrefetch() lattice.Prefetch {
 
 // subsetPrefetch adapts the planner to Incognito's layer hand-off: one
 // batch spans nodes of several subset lattices, all mapped into the full
-// level-vector space and planned as one DAG. Nil on the string path.
+// level-vector space and planned as one DAG.
 func (s *Snapshot) subsetPrefetch() lattice.SubsetPrefetch {
-	if s.st.enc == nil {
-		return nil
-	}
 	return func(subsets [][]int, nodes []lattice.Node) error {
 		units := make([]subsetNode, len(nodes))
 		for i := range nodes {
@@ -215,21 +209,12 @@ func (s *Snapshot) subsetPrefetch() lattice.SubsetPrefetch {
 // nodes in one planned sweep: the whole set is scheduled as a derivation
 // DAG (base scans only at its roots, every other node coarsened from its
 // cheapest parent) and executed level by level on the problem's worker
-// budget. Afterwards Bucketize on any of the nodes is a cache hit. On the
-// string path it simply bucketizes the nodes one by one.
+// budget. Afterwards Bucketize on any of the nodes is a cache hit.
 func (s *Snapshot) MaterializeNodes(nodes []lattice.Node) error {
 	for _, n := range nodes {
 		if !s.p.space.Contains(n) {
 			return fmt.Errorf("anonymize: node %v outside lattice %v", n, s.p.space.Dims())
 		}
 	}
-	if prefetch := s.nodePrefetch(); prefetch != nil {
-		return prefetch(nodes)
-	}
-	for _, n := range nodes {
-		if _, err := s.Bucketize(n); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.nodePrefetch()(nodes)
 }

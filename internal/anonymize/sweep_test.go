@@ -96,9 +96,6 @@ func TestPlannedSweepParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: planned problem: %v", label, err)
 			}
-			if !planned.Encoding().Enabled {
-				t.Fatalf("%s: encoded path did not enable", label)
-			}
 
 			compareSweep(t, label, planned, before, c, k)
 			// Append and sweep again: the planner must replan against the

@@ -3,6 +3,7 @@ package bucket
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -30,10 +31,12 @@ import (
 // CompileHierarchies compiles every hierarchy that names a column of the
 // encoded table over that column's dictionary (in dictionary code order).
 // Hierarchies for attributes the table lacks are skipped, matching the
-// string path, which never consults them.
+// string path, which never consults them. Names compile in sorted order,
+// so a set with several failing hierarchies always reports the same one.
 func CompileHierarchies(enc *table.Encoded, hs hierarchy.Set) (hierarchy.CompiledSet, error) {
 	chs := make(hierarchy.CompiledSet, len(hs))
-	for name, h := range hs {
+	for _, name := range slices.Sorted(maps.Keys(hs)) {
+		h := hs[name]
 		col := enc.Table.Schema.Index(name)
 		if col < 0 {
 			continue

@@ -7,6 +7,7 @@ import (
 	"ckprivacy/internal/anonymize"
 	"ckprivacy/internal/bucket"
 	"ckprivacy/internal/core"
+	"ckprivacy/internal/hierarchy"
 )
 
 func TestHospitalBundle(t *testing.T) {
@@ -161,5 +162,51 @@ func TestFromSpecLevelledHierarchy(t *testing.T) {
 	}
 	if got := b.Hierarchies["Shade"].Levels(); got != 3 {
 		t.Errorf("Shade hierarchy has %d levels, want 3", got)
+	}
+}
+
+// TestBundlesCompile pins the input contract every consumer relies on:
+// bundles from this package's constructors always compile (their
+// hierarchies are built over the closed domains the schema validates rows
+// against), while a hand-built bundle whose hierarchy misses a table
+// value reports the compile error from Encoded and Bucketize instead of
+// falling back to another path.
+func TestBundlesCompile(t *testing.T) {
+	adult, err := Adult("", 300, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levelled := miniSpec()
+	levelled.Hierarchies[1] = HierarchySpec{
+		Attribute: "Shade",
+		Kind:      "levels",
+		Levels:    []map[string]string{{"red": "warm", "blue": "cool"}, {"red": "*", "blue": "*"}},
+	}
+	spec, err := FromSpec("mini", miniSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv, err := FromSpec("levelled", levelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*Bundle{Hospital(), adult, spec, lv} {
+		if _, _, err := b.Encoded(); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+	}
+
+	h := Hospital()
+	broken := &Bundle{
+		Name:        "broken",
+		Table:       h.Table,
+		Hierarchies: hierarchy.Set{"Sex": hierarchy.NewSuppression("Sex", []string{"M"})},
+		QI:          []string{"Sex"},
+	}
+	if _, _, err := broken.Encoded(); err == nil || !strings.Contains(err.Error(), "Sex") {
+		t.Fatalf("Encoded error = %v, want one naming Sex", err)
+	}
+	if _, err := broken.Bucketize(bucket.Levels{"Sex": 1}); err == nil {
+		t.Fatal("Bucketize succeeded over a hierarchy that does not compile")
 	}
 }

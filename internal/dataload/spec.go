@@ -104,6 +104,11 @@ func specSchema(spec Spec) (*table.Schema, error) {
 // CSV into that table; the durable-store recovery path decodes it from a
 // columnar snapshot instead — hierarchies, QI order and default levels
 // come out identical either way.
+//
+// The hierarchies always compile over the table: a suppression or
+// levelled hierarchy is built over the attribute's schema domain, the
+// same domain every categorical value was validated against, and an
+// interval hierarchy generalizes every integer.
 func specBundle(name string, spec Spec, tab *table.Table) (*Bundle, error) {
 	schema := tab.Schema
 	var err error

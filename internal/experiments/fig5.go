@@ -73,9 +73,6 @@ func RunFig5Config(tab *table.Table, cfg Fig5Config) (*Fig5Result, error) {
 	// Materialize the figure's generalization through the problem's planned
 	// sweep path (a one-node plan: encode once, base-scan at the DAG root),
 	// so fig5 exercises the same machinery the full-lattice sweeps run on.
-	// Tables whose values the hierarchies cannot compile fall back to the
-	// legacy string path inside NewProblem, preserving the lazy per-row
-	// error semantics of the reference implementation.
 	p, err := anonymize.NewProblem(tab, adult.Hierarchies(), adult.QuasiIdentifiers())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig5: %w", err)

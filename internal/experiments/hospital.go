@@ -69,9 +69,16 @@ func HospitalExample() *Hospital {
 func (h *Hospital) Name(id int) string { return h.Names[id] }
 
 // Bucketize produces the Figure 2/3 partition: Zip and Age generalized one
-// level, Sex kept.
+// level, Sex kept. It is a one-shot scan of a fresh encoding; sweeps that
+// bucketize many nodes go through anonymize.Problem instead, which
+// encodes once and coarsens incrementally.
 func (h *Hospital) Bucketize() (*bucket.Bucketization, error) {
-	return bucketizeEncoded(h.Table, h.Hierarchies, bucket.Levels{"Zip": 1, "Age": 1})
+	enc := h.Table.Encode()
+	chs, err := bucket.CompileHierarchies(enc, h.Hierarchies)
+	if err != nil {
+		return nil, err
+	}
+	return bucket.FromGeneralizationEncoded(enc, chs, bucket.Levels{"Zip": 1, "Age": 1})
 }
 
 // Instance converts the Figure 2/3 bucketization into a random-worlds

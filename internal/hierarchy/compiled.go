@@ -11,10 +11,14 @@ import "fmt"
 // rather than once per row.
 //
 // Invariants:
-//   - Lut(0) is the identity and Value(0, c) == domain[c].
-//   - Value(l, Lut(l)[c]) == h.Generalize(domain[c], l) for every level l
-//     and ground code c — compiled generalization is byte-identical to the
-//     interface it was compiled from.
+//   - Levels() >= 1. Lut(0) is the identity and Value(0, c) == domain[c]:
+//     level 0 is the raw dictionary, so two ground strings a hierarchy
+//     would render alike at level 0 (Interval renders "007" as "7") keep
+//     distinct level-0 codes, exactly as the row-by-row scan keeps them
+//     in distinct buckets (neither path calls Generalize at level 0).
+//   - Value(l, Lut(l)[c]) == h.Generalize(domain[c], l) for every level
+//     l >= 1 and ground code c — compiled generalization is byte-identical
+//     to the interface it was compiled from.
 //   - Generalized codes are assigned by first appearance in ground-code
 //     order, so compilation is deterministic.
 type Compiled struct {
@@ -26,18 +30,19 @@ type Compiled struct {
 }
 
 // Compile specializes h to the ground domain (one string per level-0
-// code, in code order). It fails if h cannot generalize some domain value
-// at some level — the same values and levels the row-by-row path would
-// fail on, surfaced eagerly — or if the hierarchy violates the
-// nested-coarsening law over this domain (values equal at level l must
-// stay equal at every level above). The built-in hierarchies enforce the
-// law at construction, but Hierarchy is an open interface; the
-// incremental coarsening derivation is only exact under the law, so a
-// violating custom implementation must fail compilation (sending callers
-// to the per-node scan paths, which are correct regardless) rather than
-// silently mis-partition.
+// code, in code order). It fails if h has no levels, if h cannot
+// generalize some domain value at some level, or if the hierarchy
+// violates the nested-coarsening law over this domain (values equal at
+// level l must stay equal at every level above). The built-in
+// hierarchies enforce the law at construction, but Hierarchy is an open
+// interface. The lattice searches' monotonicity and the coarsening
+// derivation are only sound under the law, so a violating custom
+// implementation fails here, and with it the problem built over it.
 func Compile(h Hierarchy, domain []string) (*Compiled, error) {
 	levels := h.Levels()
+	if levels < 1 {
+		return nil, errNoLevels(h)
+	}
 	c := &Compiled{
 		name:   h.Name(),
 		lut:    make([][]uint32, levels),
@@ -95,6 +100,9 @@ func Compile(h Hierarchy, domain []string) (*Compiled, error) {
 // Compile(h, grown). The receiver is not modified: snapshots of the
 // pre-append state keep decoding against the original tables.
 func (c *Compiled) Extend(h Hierarchy, domain []string) (*Compiled, error) {
+	if h.Levels() < 1 {
+		return nil, errNoLevels(h)
+	}
 	old := len(c.lut[0])
 	if len(domain) < old {
 		return nil, fmt.Errorf(
@@ -149,6 +157,11 @@ func (c *Compiled) Extend(h Hierarchy, domain []string) (*Compiled, error) {
 		out.values[l] = vals
 	}
 	return out, nil
+}
+
+// errNoLevels rejects a hierarchy without even the identity level 0.
+func errNoLevels(h Hierarchy) error {
+	return fmt.Errorf("hierarchy: %s has %d levels, need at least 1 (level 0 is the identity)", h.Name(), h.Levels())
 }
 
 // Name returns the attribute name the compiled hierarchy applies to.

@@ -1,6 +1,9 @@
 package hierarchy
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestCompileParity pins the compiled-form contract: for every ground
 // code and level, Value(l, Lut(l)[c]) equals the interface Generalize.
@@ -69,8 +72,8 @@ func (splitter) Generalize(v string, level int) (string, error) {
 
 // TestCompileRejectsNonNested pins the safety check behind incremental
 // coarsening: a custom Hierarchy whose levels are not nested coarsenings
-// must fail compilation (so callers stay on the per-node scan paths)
-// instead of silently mis-partitioning derived bucketizations.
+// must fail compilation (and with it the problem built over it) instead
+// of silently mis-partitioning derived bucketizations.
 func TestCompileRejectsNonNested(t *testing.T) {
 	if _, err := Compile(splitter{}, []string{"a", "b", "c"}); err == nil {
 		t.Fatal("Compile accepted a hierarchy violating the nested-coarsening law")
@@ -87,5 +90,31 @@ func TestCompileUnknownValue(t *testing.T) {
 	iv := MustInterval("Age", []int{1, 10, 0})
 	if _, err := Compile(iv, []string{"12", "not-a-number"}); err == nil {
 		t.Fatal("Compile accepted a non-integer for an interval hierarchy")
+	}
+}
+
+// noLevels is a custom Hierarchy without even the identity level.
+type noLevels struct{}
+
+func (noLevels) Name() string { return "empty" }
+func (noLevels) Levels() int  { return 0 }
+func (noLevels) Generalize(v string, level int) (string, error) {
+	return "", fmt.Errorf("no level %d", level)
+}
+
+// TestCompileRejectsZeroLevels pins that a hierarchy with no levels is an
+// error from Compile and Extend, not an index panic on the level-0 table.
+func TestCompileRejectsZeroLevels(t *testing.T) {
+	if _, err := Compile(noLevels{}, []string{"a"}); err == nil {
+		t.Fatal("Compile accepted a zero-level hierarchy")
+	}
+	c, err := Compile(NewSuppression("empty", []string{"a"}), []string{"a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, domain := range [][]string{{"a"}, {"a", "b"}} {
+		if _, err := c.Extend(noLevels{}, domain); err == nil {
+			t.Fatalf("Extend over %v accepted a zero-level hierarchy", domain)
+		}
 	}
 }

@@ -3,9 +3,14 @@
 // progressively coarser representations: level 0 is the identity and the top
 // level is usually total suppression ("*").
 //
-// The key law, relied on by the lattice search, is that levels are nested
-// coarsenings: if two values generalize equally at level j they generalize
-// equally at every level j' > j.
+// The key law is that levels are nested coarsenings: if two values
+// generalize equally at level j they generalize equally at every level
+// j' > j. The lattice search's monotonicity (Theorem 14) and Incognito's
+// subset pruning rest on it, so it is enforced here, not merely assumed:
+// the built-in hierarchies check it at construction, and Compile checks it
+// for any Hierarchy over the concrete values of a table column (together
+// with coverage of every value and at least one level). A problem whose
+// hierarchies do not compile is rejected at construction.
 package hierarchy
 
 import (

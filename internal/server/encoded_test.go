@@ -14,16 +14,12 @@ import (
 func TestDatasetEncodedAtRegistration(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var info struct {
-		Encoded           bool           `json:"encoded"`
 		DictCardinalities map[string]int `json:"dictionary_cardinalities"`
 	}
 	code := postJSON(t, ts.URL+"/v1/datasets",
 		map[string]any{"name": "hosp", "builtin": "hospital"}, &info)
 	if code != http.StatusCreated {
 		t.Fatalf("register = %d, want 201", code)
-	}
-	if !info.Encoded {
-		t.Fatal("dataset not encoded at registration")
 	}
 	// The hospital example: 2 zips, 9 ages, 2 sexes, 6 diseases.
 	want := map[string]int{"Zip": 2, "Age": 9, "Sex": 2, "Disease": 6}
@@ -42,14 +38,13 @@ func TestDatasetEncodedAtRegistration(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var got struct {
-		Encoded           bool           `json:"encoded"`
 		DictCardinalities map[string]int `json:"dictionary_cardinalities"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if !got.Encoded || got.DictCardinalities["Disease"] != 6 {
-		t.Fatalf("GET dataset encoded info = %+v, want encoded with Disease=6", got)
+	if got.DictCardinalities["Disease"] != 6 {
+		t.Fatalf("GET dataset encoded info = %+v, want Disease=6", got)
 	}
 }
 

@@ -161,12 +161,13 @@ func (c Config) withDefaults() Config {
 }
 
 // problemOptions is the anonymize.Options every registered dataset's
-// Problem is built with.
+// Problem is built with. Each call injects a fresh engine bounded by
+// MemoMaxBytes, so every dataset owns one memo.
 func (c Config) problemOptions() anonymize.Options {
 	o := anonymize.DefaultOptions()
 	o.Workers = c.SearchWorkers
 	o.ShardWorkers = c.ShardWorkers
-	o.MemoMaxBytes = c.MemoMaxBytes
+	o.Engine = core.NewEngineWithConfig(core.EngineConfig{MemoMaxBytes: c.MemoMaxBytes})
 	return o
 }
 

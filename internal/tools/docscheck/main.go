@@ -3,8 +3,9 @@
 // and docs/*.md resolves to an existing file (and every same-file #anchor
 // to a real heading), and (2) asserts exported-symbol doc-comment coverage
 // for the public ckprivacy package, internal/server, internal/store,
-// internal/replica, internal/anonymize, internal/bucket, internal/lattice
-// and the ckvet suite — every exported
+// internal/replica, internal/anonymize, internal/bucket, internal/lattice,
+// internal/hierarchy, internal/dataload, internal/table, internal/core and
+// the ckvet suite — every exported
 // type, function, method, constant and variable must carry a doc comment,
 // so pkg.go.dev never renders a bare name. It exits non-zero listing every
 // offender.
@@ -38,6 +39,14 @@ func main() {
 	// tested against share documented contracts (identical nodes and
 	// Stats); keep them written down.
 	problems = append(problems, checkDocComments("internal/lattice", "lattice")...)
+	// NewProblem's input contract lives in these packages' docs: the
+	// nesting law and coverage Compile enforces, the closed domains bundle
+	// hierarchies are built over, the columnar view every problem computes
+	// on, and the engine a problem injects.
+	problems = append(problems, checkDocComments("internal/hierarchy", "hierarchy")...)
+	problems = append(problems, checkDocComments("internal/dataload", "dataload")...)
+	problems = append(problems, checkDocComments("internal/table", "table")...)
+	problems = append(problems, checkDocComments("internal/core", "core")...)
 	problems = append(problems, checkDocComments("docs", "docs")...)
 	// The ckvet suite documents the invariants it enforces; a bare
 	// exported name there would leave an analyzer without its contract.
